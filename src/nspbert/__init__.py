@@ -30,12 +30,9 @@ from .pretrain import nsp_accuracy, pretrain, vocab_from_documents
 from .prompting import (
     PromptTemplate,
     TaskConfig,
-    TwoStagePrompt,
     Verbalizer,
-    render_pair,
     render_pet,
     render_single,
-    render_two_stage,
 )
 from .scoring import (
     LabelDistribution,

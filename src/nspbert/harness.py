@@ -29,8 +29,15 @@ from .scoring import (
     thresholds_from_dev,
 )
 from .tokenizer import Tokenizer
-from .tuning import TuningConfig, accuracy, fine_tune_baseline, nsp_tune, \
-    predict_candidates_batch
+from .tuning import (
+    TuningConfig,
+    accuracy,
+    fine_tune_baseline,
+    isnext_head,
+    nsp_tune,
+    predict_candidates_batch,
+    run_head,
+)
 
 DEFAULT_SEEDS = (13, 21, 42, 87, 100)
 
@@ -43,8 +50,6 @@ class Example:
     text_a: str
     label: str
     text_b: str = None
-    mention: str = None
-    candidates: list = None
 
 
 def load_jsonl(path, task):
@@ -71,9 +76,7 @@ def load_jsonl(path, task):
             if ex_id in seen_ids:
                 raise ValidationError(f"{path}:{lineno}: duplicate id {ex_id!r}")
             seen_ids.add(ex_id)
-            examples.append(Example(ex_id, rec["text_a"], rec["label"],
-                                    rec.get("text_b"), rec.get("mention"),
-                                    rec.get("candidates")))
+            examples.append(Example(ex_id, rec["text_a"], rec["label"], rec.get("text_b")))
     return examples
 
 
@@ -179,16 +182,9 @@ def make_synthetic_task(corpus_cfg, task_type, seed, n_documents=250):
 def score_pairs(model, vocab, examples, task, chunk=64):
     """IsNext probability of (text_a, text_b) for every example."""
     tok = Tokenizer(vocab)
-    out = []
-    for start in range(0, len(examples), chunk):
-        batch = examples[start : start + chunk]
-        encs = [tok.encode_pair(ex.text_a, ex.text_b, task.max_len) for ex in batch]
-        probs = model.nsp_prob_isnext_batch(encs)
-        out.extend(
-            ScoredSample(ex.id, float(q), gold=ex.label)
-            for ex, q in zip(batch, probs)
-        )
-    return out
+    pairs = [tok.encode_pair(ex.text_a, ex.text_b, task.max_len) for ex in examples]
+    qs = run_head(model, pairs, isnext_head, chunk)
+    return [ScoredSample(ex.id, float(q), gold=ex.label) for ex, q in zip(examples, qs)]
 
 
 def evaluate(model, vocab, test, task, mode, dev=None):
@@ -202,6 +198,7 @@ def evaluate(model, vocab, test, task, mode, dev=None):
         raise ValidationError(f"unknown eval mode {mode!r}")
     if not test:
         raise ValidationError("empty test set")
+    task.check_mode(mode)
     if mode in ("zero_shot_nsp", "tuned"):
         preds = predict_candidates_batch(model, vocab, test, task)
         return accuracy(preds, test)

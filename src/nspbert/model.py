@@ -192,11 +192,6 @@ class EncoderModel:
     def forward_batch(self, pairs):
         return self.forward_ids(*self._stack(pairs))
 
-    def forward(self, pair):
-        """Hidden states (S, H) for one encoded pair."""
-        hidden = self.forward_batch([pair])
-        return T.take_index(hidden, 0, axis=0)
-
     # ------------------------------------------------------------------
     def cls_hidden(self, hidden):
         """(B, H) hidden vector at the [CLS] position."""
@@ -214,17 +209,6 @@ class EncoderModel:
         """(B, 2) probabilities (IsNext, NotNext)."""
         return T.softmax_rows(self.nsp_logits(hidden))
 
-    def nsp_prob_isnext(self, pair):
-        """IsNext probability for a single encoded pair."""
-        with T.no_grad():
-            probs = self.nsp_probs(self.forward_batch([pair]))
-        return float(probs.data[0, ISNEXT])
-
-    def nsp_prob_isnext_batch(self, pairs):
-        with T.no_grad():
-            probs = self.nsp_probs(self.forward_batch(pairs))
-        return probs.data[:, ISNEXT].copy()
-
     # ------------------------------------------------------------------
     def mlm_logits(self, hidden, batch_idx, pos_idx):
         """(M, vocab) logits at selected positions; projection tied to embeddings."""
@@ -233,16 +217,6 @@ class EncoderModel:
         t = T.gelu(T.add(T.matmul(rows, p["mlm.transform.w"]), p["mlm.transform.b"]))
         t = T.layer_norm(t, p["mlm.ln.gain"], p["mlm.ln.bias"])
         return T.add(T.matmul(t, T.transpose(p["embeddings.word"], (1, 0))), p["mlm.bias"])
-
-    def mlm_token_prob(self, pair, position, token_id):
-        """Probability of token_id at a recorded mask position."""
-        if position not in pair.mask_positions:
-            raise ValidationError(f"position {position} is not a recorded mask position")
-        with T.no_grad():
-            hidden = self.forward_batch([pair])
-            logits = self.mlm_logits(hidden, np.array([0]), np.array([position]))
-            probs = T.softmax_rows(logits)
-        return float(probs.data[0, int(token_id)])
 
     def mlm_mask_probs(self, pair):
         """(n_masks, vocab) probabilities at all recorded mask positions."""
@@ -256,9 +230,6 @@ class EncoderModel:
         return probs.data.copy()
 
     # ------------------------------------------------------------------
-    def state_arrays(self):
-        return {k: v.data for k, v in self.params.items()}
-
     def save_checkpoint(self, path):
         names = sorted(self.params)
         offset = 0

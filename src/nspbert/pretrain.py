@@ -14,6 +14,7 @@ from .corpus import ISNEXT_LABEL, mask_tokens, sample_nsp_pair
 from .errors import DivergenceError, ValidationError
 from .model import ISNEXT, NOTNEXT
 from .tokenizer import Tokenizer, build_vocab
+from .tuning import nsp_head, run_head
 
 
 def vocab_from_documents(documents, max_size=8192, min_freq=1):
@@ -84,16 +85,10 @@ def pretrain(model, documents, vocab, steps, batch_size=16, lr=1e-3, seed=0,
 def nsp_accuracy(model, vocab, pairs, max_len=28, batch_size=64):
     """Accuracy of argmax NSP prediction on labeled pairs."""
     tok = Tokenizer(vocab)
-    correct = 0
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        encoded = [tok.encode_pair(p.text_a, p.text_b, max_len) for p in chunk]
-        with T.no_grad():
-            probs = model.nsp_probs(model.forward_batch(encoded))
-        pred = probs.data.argmax(axis=1)
-        gold = np.array([ISNEXT if p.label == ISNEXT_LABEL else NOTNEXT for p in chunk])
-        correct += int((pred == gold).sum())
-    return correct / len(pairs)
+    encoded = [tok.encode_pair(p.text_a, p.text_b, max_len) for p in pairs]
+    pred = run_head(model, encoded, nsp_head, batch_size).argmax(axis=1)
+    gold = np.array([ISNEXT if p.label == ISNEXT_LABEL else NOTNEXT for p in pairs])
+    return int((pred == gold).sum()) / len(pairs)
 
 
 def mlm_perplexity(model, vocab, documents, n_sentences=100, max_len=28,

@@ -1,10 +1,9 @@
-"""Prompt templates, verbalizers, and rendering for every task shape.
+"""Prompt templates, verbalizers, rendering, and task configs.
 
 A template fills one sentence slot with a prompt containing the
 verbalized label; the original text occupies the other slot (prefix
-puts the prompt in sentence A, suffix in sentence B).  Two-stage
-prompts restate the target mention at the end of sentence A and place
-the candidate description in sentence B.  Rendering is pure.
+puts the prompt in sentence A, suffix in sentence B).  Rendering is
+pure.
 """
 
 from __future__ import annotations
@@ -52,41 +51,12 @@ class PromptTemplate:
             raise ValidationError(f"position must be prefix or suffix, got {self.position!r}")
 
 
-@dataclass
-class TwoStagePrompt:
-    stage1: str  # contains {mention}
-    stage2: str  # contains {description}
-
-    def __post_init__(self):
-        if "{mention}" not in self.stage1:
-            raise ValidationError("stage1 must contain {mention}")
-        if "{description}" not in self.stage2:
-            raise ValidationError("stage2 must contain {description}")
-
-
 def render_single(x, template, verbalizer, label):
     """(sentence A, sentence B) for a single-sentence task."""
     prompt = template.pattern.format(label=verbalizer(label))
     if template.position == SUFFIX:
         return x, prompt
     return prompt, x
-
-
-def render_pair(x1, x2, order="original"):
-    if order == "original":
-        return x1, x2
-    if order == "reversed":
-        return x2, x1
-    raise ValidationError(f"order must be original or reversed, got {order!r}")
-
-
-def render_two_stage(x, mention, description, prompt):
-    """Sentence A = text + ', ' + stage-1 restatement; B = description prompt."""
-    if not mention:
-        raise ValidationError("two-stage prompt requires a nonempty mention")
-    a = x + ", " + prompt.stage1.format(mention=mention)
-    b = prompt.stage2.format(description=description)
-    return a, b
 
 
 def render_pet(x, template, verbalizer, label, tokenizer, max_len):
@@ -130,23 +100,35 @@ def render_pet(x, template, verbalizer, label, tokenizer, max_len):
     return masked, target_ids
 
 
+# The task type each evaluation mode, and NSP-tuning, runs on: candidate
+# modes render one prompt per label around a single text; pair-scoring
+# modes read the IsNext probability of (text_a, text_b).
+MODE_TASK_TYPE = {
+    "zero_shot_nsp": "single",
+    "zero_shot_pet": "single",
+    "tuned": "single",
+    "nsp_tune": "single",
+    "samples_contrast": "pair",
+    "thresholds": "pair",
+}
+
+
 @dataclass
 class TaskConfig:
     """Task description: shape, labels, template, verbalizer, mapping options."""
 
-    task_type: str  # single | pair | two_stage
+    task_type: str  # single | pair
     labels: list
     template: PromptTemplate | None = None
     verbalizer: Verbalizer | None = None
     mapping: dict = field(default_factory=lambda: {"strategy": "candidates_contrast",
                                                    "order": "ascending",
                                                    "batch_size": 16})
-    two_stage: TwoStagePrompt | None = None
     max_len: int = 48
     k_shot: int = 16
 
     def __post_init__(self):
-        if self.task_type not in ("single", "pair", "two_stage"):
+        if self.task_type not in ("single", "pair"):
             raise ValidationError(f"unknown task_type {self.task_type!r}")
         if self.task_type in ("single",) and (self.template is None or self.verbalizer is None):
             raise ValidationError("single-sentence tasks need a template and verbalizer")
@@ -154,6 +136,19 @@ class TaskConfig:
             missing = [l for l in self.labels if l not in self.verbalizer.mapping]
             if missing:
                 raise ValidationError(f"verbalizer missing labels: {missing}")
+        if len(self.labels) < 2:
+            raise ValidationError(f"a task needs at least 2 labels, got {len(self.labels)}")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError(f"task labels must be unique: {self.labels}")
+        if self.k_shot < 1:
+            raise ValidationError(f"k_shot must be >= 1, got {self.k_shot}")
+
+    def check_mode(self, mode):
+        """Reject a mode that cannot run on this task type."""
+        need = MODE_TASK_TYPE[mode]
+        if self.task_type != need:
+            raise ValidationError(
+                f"mode {mode!r} needs a {need!r} task, not task_type {self.task_type!r}")
 
     def to_dict(self):
         d = {"task_type": self.task_type, "labels": self.labels,
@@ -163,9 +158,6 @@ class TaskConfig:
                              "position": self.template.position}
         if self.verbalizer is not None:
             d["verbalizer"] = self.verbalizer.mapping
-        if self.two_stage is not None:
-            d["two_stage"] = {"stage1": self.two_stage.stage1,
-                              "stage2": self.two_stage.stage2}
         return d
 
     def save(self, path):
@@ -179,9 +171,6 @@ class TaskConfig:
             template = PromptTemplate(d["template"]["pattern"],
                                       d["template"].get("position", SUFFIX))
         verbalizer = Verbalizer(d["verbalizer"]) if "verbalizer" in d else None
-        two_stage = None
-        if "two_stage" in d:
-            two_stage = TwoStagePrompt(d["two_stage"]["stage1"], d["two_stage"]["stage2"])
         return cls(
             task_type=d["task_type"],
             labels=list(d["labels"]),
@@ -189,7 +178,6 @@ class TaskConfig:
             verbalizer=verbalizer,
             mapping=d.get("mapping", {"strategy": "candidates_contrast",
                                       "order": "ascending", "batch_size": 16}),
-            two_stage=two_stage,
             max_len=d.get("max_len", 48),
             k_shot=d.get("k_shot", 16),
         )

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ValidationError
-from .prompting import render_pet, render_single
+from .prompting import render_pet
 from .tokenizer import Tokenizer
+from .tuning import encode_candidates, isnext_head, run_head
 
 
 @dataclass
@@ -70,19 +71,10 @@ class LabelDistribution:
 
 
 def score_candidates(model, vocab, x, task, sample_id=0, gold=None):
-    """One forward pass per candidate template; probabilities are not
-    jointly normalized across candidates."""
-    if len(task.labels) < 2:
-        raise ValidationError("candidates-contrast needs at least 2 candidates")
-    tok = Tokenizer(vocab)
-    pairs = []
-    for j, label in enumerate(task.labels):
-        try:
-            a, b = render_single(x, task.template, task.verbalizer, label)
-            pairs.append(tok.encode_pair(a, b, task.max_len))
-        except ValidationError as e:
-            raise ValidationError(f"candidate {j} ({label!r}): {e}") from e
-    probs = model.nsp_prob_isnext_batch(pairs)
+    """IsNext probability of every candidate template, in one forward pass;
+    probabilities are not jointly normalized across candidates."""
+    pairs = encode_candidates(x, task, Tokenizer(vocab))
+    probs = run_head(model, pairs, isnext_head, len(pairs))
     return ScoredSample(sample_id, [float(p) for p in probs], gold=gold)
 
 

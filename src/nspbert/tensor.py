@@ -335,16 +335,6 @@ def sum_all(x, axis=None, keepdims=False):
     return _node(out, (x,), back)
 
 
-def mean_all(x):
-    n = x.size
-    out = x.data.sum(dtype=np.float64) / n
-
-    def back(g):
-        return (np.full(x.shape, g / n, dtype=x.data.dtype),)
-
-    return _node(np.asarray(out, dtype=x.data.dtype), (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # Losses
 

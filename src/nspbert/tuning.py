@@ -6,11 +6,14 @@ with target 1 and every other label with target 0.  In coupled variants
 a sample's instances always share a training batch; the decoupled
 variant shuffles instances globally.  The final model is the best
 dev-accuracy epoch.
+
+Every scoring and prediction path in the package forwards through
+`run_head`, a batched no-grad forward that reads one head's output, and
+candidate prompts are encoded by `encode_candidates` alone.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,73 +57,79 @@ class TuningConfig:
             raise ValidationError(f"unknown variant {self.variant!r}")
 
 
+# ---------------------------------------------------------------------------
+# Encoding and batched scoring
+
+
+def encode_candidates(text, task, tok):
+    """One encoded (text, prompt) pair per task label, in label order."""
+    pairs = []
+    for j, label in enumerate(task.labels):
+        try:
+            a, b = render_single(text, task.template, task.verbalizer, label)
+            pairs.append(tok.encode_pair(a, b, task.max_len))
+        except ValidationError as e:
+            raise ValidationError(f"candidate {j} ({label!r}): {e}") from e
+    return pairs
+
+
 def build_instances(example, task, tokenizer):
     """One positive + |Y|-1 negative templated instances for a sample."""
     if example.label not in task.labels:
         raise ValidationError(f"gold label {example.label!r} not in task labels")
-    instances = []
-    for j, label in enumerate(task.labels):
-        a, b = render_single(example.text_a, task.template, task.verbalizer, label)
-        pair = tokenizer.encode_pair(a, b, task.max_len)
-        instances.append(
-            NspTuningInstance(pair, int(label == example.label), example.id, j)
-        )
-    return instances
+    pairs = encode_candidates(example.text_a, task, tokenizer)
+    return [NspTuningInstance(pair, int(label == example.label), example.id, j)
+            for j, (label, pair) in enumerate(zip(task.labels, pairs))]
+
+
+def isnext_head(model, hidden):
+    """IsNext probability of each input."""
+    return model.nsp_probs(hidden).data[:, ISNEXT]
+
+
+def nsp_head(model, hidden):
+    """(IsNext, NotNext) probabilities of each input."""
+    return model.nsp_probs(hidden).data
+
+
+def _fresh_logits(model, hidden, extra):
+    """Logits of the fresh linear head {"head_w", "head_b"} on [CLS]."""
+    h = model.cls_hidden(hidden)
+    return T.add(T.matmul(h, T.transpose(extra["head_w"], (1, 0))), extra["head_b"])
+
+
+def own_logit_head(extra):
+    """Fresh-head score of each candidate: candidate j reads output j on its
+    own input, so chunks must hold whole candidate sets."""
+    def head(model, hidden):
+        logits = _fresh_logits(model, hidden, extra).data
+        rows = np.arange(len(logits))
+        return logits[rows, rows % logits.shape[1]]
+    return head
+
+
+def run_head(model, inputs, head, chunk):
+    """head(model, hidden) of encoded inputs, forwarded `chunk` at a time
+    without gradients, concatenated into one numpy array."""
+    out = []
+    with T.no_grad():
+        for start in range(0, len(inputs), chunk):
+            out.append(head(model, model.forward_batch(inputs[start : start + chunk])))
+    return np.concatenate(out) if out else np.empty(0)
 
 
 # ---------------------------------------------------------------------------
 # Prediction
 
 
-def predict_candidates_batch(model, vocab, examples, task, chunk=64):
-    """Candidates-contrast prediction for many examples, batched."""
+def predict_candidates_batch(model, vocab, examples, task, chunk=64, head=isnext_head):
+    """Candidates-contrast prediction: per example, the label whose candidate
+    scores highest; `chunk` examples' candidates share a forward pass."""
     tok = Tokenizer(vocab)
     n_labels = len(task.labels)
-    preds = []
-    for start in range(0, len(examples), chunk):
-        pairs = []
-        for ex in examples[start : start + chunk]:
-            for label in task.labels:
-                a, b = render_single(ex.text_a, task.template, task.verbalizer, label)
-                pairs.append(tok.encode_pair(a, b, task.max_len))
-        probs = model.nsp_prob_isnext_batch(pairs).reshape(-1, n_labels)
-        preds.extend(int(i) for i in probs.argmax(axis=1))
-    return [task.labels[i] for i in preds]
-
-
-def _predict_linear_head(model, vocab, examples, task, head_w, head_b, chunk=64):
-    """Candidate j scored by output j of the fresh head on its own instance."""
-    tok = Tokenizer(vocab)
-    n_labels = len(task.labels)
-    preds = []
-    for start in range(0, len(examples), chunk):
-        pairs = []
-        for ex in examples[start : start + chunk]:
-            for label in task.labels:
-                a, b = render_single(ex.text_a, task.template, task.verbalizer, label)
-                pairs.append(tok.encode_pair(a, b, task.max_len))
-        with T.no_grad():
-            hidden = model.forward_batch(pairs)
-            h = model.cls_hidden(hidden)
-            logits = T.add(T.matmul(h, T.transpose(head_w, (1, 0))), head_b)
-        mat = logits.data.reshape(-1, n_labels, n_labels)
-        scores = mat[:, np.arange(n_labels), np.arange(n_labels)]
-        preds.extend(int(i) for i in scores.argmax(axis=1))
-    return [task.labels[i] for i in preds]
-
-
-def _predict_cls_head(model, vocab, examples, task, head_w, head_b, chunk=128):
-    """Plain classification head on [CLS] of the untemplated input."""
-    tok = Tokenizer(vocab)
-    preds = []
-    for start in range(0, len(examples), chunk):
-        encs = [tok.encode_single(ex.text_a, task.max_len)
-                for ex in examples[start : start + chunk]]
-        with T.no_grad():
-            h = model.cls_hidden(model.forward_batch(encs))
-            logits = T.add(T.matmul(h, T.transpose(head_w, (1, 0))), head_b)
-        preds.extend(int(i) for i in logits.data.argmax(axis=1))
-    return [task.labels[i] for i in preds]
+    pairs = [p for ex in examples for p in encode_candidates(ex.text_a, task, tok)]
+    scores = run_head(model, pairs, head, chunk * n_labels).reshape(-1, n_labels)
+    return [task.labels[i] for i in scores.argmax(axis=1)]
 
 
 def accuracy(preds, examples):
@@ -136,39 +145,114 @@ class TuneResult:
     extra: dict = field(default_factory=dict)  # fresh-head tensors, if any
 
     def predict(self, examples, task, vocab):
-        if self.variant == "linear_head_softmax":
-            return _predict_linear_head(self.model, vocab, examples, task,
-                                        self.extra["head_w"], self.extra["head_b"])
         if self.variant == "fine_tune":
-            return _predict_cls_head(self.model, vocab, examples, task,
-                                     self.extra["head_w"], self.extra["head_b"])
-        return predict_candidates_batch(self.model, vocab, examples, task)
+            # Plain classification head on [CLS] of the untemplated input.
+            tok = Tokenizer(vocab)
+            encs = [tok.encode_single(ex.text_a, task.max_len) for ex in examples]
+            logits = run_head(self.model, encs,
+                              lambda model, h: _fresh_logits(model, h, self.extra).data, 128)
+            return [task.labels[i] for i in logits.argmax(axis=1)]
+        head = isnext_head
+        if self.variant == "linear_head_softmax":
+            head = own_logit_head(self.extra)
+        return predict_candidates_batch(self.model, vocab, examples, task, head=head)
 
 
 # ---------------------------------------------------------------------------
 # Training
+#
+# A loss function maps (model, fresh head, hidden states, targets) to a scalar
+# loss tensor.  NSP-tuning targets are 0/1 per instance, one row per parent
+# sample in coupled batches; fine-tuning targets are gold label indices.
 
 
-def _isnext_prob_tensor(model, pairs):
-    hidden = model.forward_batch(pairs)
-    probs = model.nsp_probs(hidden)
-    return T.take_index(probs, ISNEXT, axis=1)
+def _bce_loss(model, extra, hidden, targets):
+    p = T.take_index(model.nsp_probs(hidden), ISNEXT, axis=1)
+    return T.binary_cross_entropy(p, targets.reshape(-1))
 
 
-def _check_finite(loss, context):
-    if not np.isfinite(loss.item()):
-        raise DivergenceError(f"non-finite loss during {context}: {loss.item()}")
+def _softmax_loss(model, extra, hidden, targets):
+    logits = T.take_index(model.nsp_logits(hidden), ISNEXT, axis=1)
+    return T.cross_entropy(T.reshape(logits, targets.shape), targets.argmax(axis=1))
+
+
+def _linear_head_loss(model, extra, hidden, targets):
+    n_labels = targets.shape[1]
+    cube = T.reshape(_fresh_logits(model, hidden, extra), (-1, n_labels, n_labels))
+    eye = Tensor(np.eye(n_labels, dtype=np.float32))
+    scores = T.sum_all(T.mul(cube, eye), axis=-1)
+    return T.cross_entropy(scores, targets.argmax(axis=1))
+
+
+def _class_loss(model, extra, hidden, targets):
+    return T.cross_entropy(_fresh_logits(model, hidden, extra), targets)
+
+
+_LOSSES = {
+    "coupled_bce": _bce_loss,
+    "decoupled_bce": _bce_loss,
+    "coupled_softmax": _softmax_loss,
+    "reinit_sigmoid_head": _bce_loss,
+    "linear_head_softmax": _linear_head_loss,
+    "fine_tune": _class_loss,
+}
+
+
+def _new_head(model, n_labels, seed):
+    head_rng = np.random.default_rng(seed + 1)
+    return {
+        "head_w": Tensor(_trunc_normal(head_rng, (n_labels, model.config.hidden)),
+                         requires_grad=True),
+        "head_b": Tensor(np.zeros(n_labels, dtype=np.float32), requires_grad=True),
+    }
+
+
+def _train_loop(result, epoch_batches, dev, task, vocab, cfg):
+    """Adam on the model and its fresh head for cfg.epochs epochs; returns
+    `result` with the weights of the best dev-accuracy epoch restored.
+
+    epoch_batches() draws one epoch of (inputs, targets) batches.  With no
+    dev set the final weights are kept and best_epoch stays -1.
+    """
+    model, extra = result.model, result.extra
+    loss_fn = _LOSSES[result.variant]
+    params = {**model.params, **extra}
+    opt = T.Adam(params, lr=cfg.lr)
+    best_acc, best = -1.0, None
+    for epoch in range(cfg.epochs):
+        epoch_losses = []
+        for inputs, targets in epoch_batches():
+            loss = loss_fn(model, extra, model.forward_batch(inputs), targets)
+            if not np.isfinite(loss.item()):
+                raise DivergenceError(
+                    f"non-finite loss during {result.variant} epoch {epoch}: {loss.item()}")
+            opt.zero_grad()
+            T.backward(loss)
+            opt.step()
+            epoch_losses.append(loss.item())
+        dev_acc = accuracy(result.predict(dev, task, vocab), dev) if dev else float("nan")
+        result.history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
+                               "dev_acc": dev_acc})
+        if dev and dev_acc > best_acc:
+            best_acc, result.best_epoch = dev_acc, epoch
+            best = {k: p.data.copy() for k, p in params.items()}
+    if best is not None:
+        for k, v in best.items():
+            params[k].data = v
+    return result
 
 
 def nsp_tune(model, train, dev, task, vocab, cfg):
     """Train in place; returns a TuneResult holding the best-dev-epoch weights."""
+    task.check_mode("nsp_tune")
+    if cfg.variant not in VARIANTS:
+        raise ValidationError(f"variant {cfg.variant!r} not handled by nsp_tune")
     tok = Tokenizer(vocab)
     rng = np.random.default_rng(cfg.seed)
     n_labels = len(task.labels)
     per_parent = [build_instances(ex, task, tok) for ex in train]
 
     extra = {}
-    params = dict(model.parameters())
     if cfg.variant == "reinit_sigmoid_head":
         head_rng = np.random.default_rng(cfg.seed + 1)
         for name in ("nsp.pool.w", "nsp.out.w"):
@@ -177,131 +261,45 @@ def nsp_tune(model, train, dev, task, vocab, cfg):
         for name in ("nsp.pool.b", "nsp.out.b"):
             model.params[name].data = np.zeros_like(model.params[name].data)
     elif cfg.variant == "linear_head_softmax":
-        head_rng = np.random.default_rng(cfg.seed + 1)
-        extra["head_w"] = Tensor(
-            _trunc_normal(head_rng, (n_labels, model.config.hidden)), requires_grad=True
-        )
-        extra["head_b"] = Tensor(np.zeros(n_labels, dtype=np.float32), requires_grad=True)
-        params.update(extra)
+        extra = _new_head(model, n_labels, cfg.seed)
 
-    opt = T.Adam(params, lr=cfg.lr)
-    eye = Tensor(np.eye(n_labels, dtype=np.float32))
-    result = TuneResult(model, cfg.variant, history=[], best_epoch=-1, extra=extra)
-    best = {"acc": -1.0, "params": None, "extra": None, "epoch": -1}
-
-    def snapshot():
-        return ({k: v.data.copy() for k, v in model.params.items()},
-                {k: v.data.copy() for k, v in extra.items()})
-
-    def evaluate_dev():
-        if not dev:
-            return float("nan")
-        return accuracy(result.predict(dev, task, vocab), dev)
-
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
+    def epoch_batches():
         if cfg.variant == "decoupled_bce":
             flat = [inst for group in per_parent for inst in group]
             rng.shuffle(flat)
-            inst_bs = cfg.batch_size * n_labels
-            batches = [flat[i : i + inst_bs] for i in range(0, len(flat), inst_bs)]
+            size = cfg.batch_size * n_labels
+            for i in range(0, len(flat), size):
+                batch = flat[i : i + size]
+                yield ([inst.pair for inst in batch],
+                       np.array([inst.target for inst in batch], dtype=np.float64))
         else:
             order = rng.permutation(len(per_parent))
-            batches = []
             for i in range(0, len(order), cfg.batch_size):
                 group = [per_parent[j] for j in order[i : i + cfg.batch_size]]
-                batches.append([inst for g in group for inst in g])
-        for batch in batches:
-            pairs = [inst.pair for inst in batch]
-            targets = np.array([inst.target for inst in batch], dtype=np.float64)
-            if cfg.variant in ("coupled_bce", "decoupled_bce", "reinit_sigmoid_head"):
-                p = _isnext_prob_tensor(model, pairs)
-                loss = T.binary_cross_entropy(p, targets)
-            elif cfg.variant == "coupled_softmax":
-                hidden = model.forward_batch(pairs)
-                logits = T.take_index(model.nsp_logits(hidden), ISNEXT, axis=1)
-                per_sample = T.reshape(logits, (-1, n_labels))
-                gold = targets.reshape(-1, n_labels).argmax(axis=1)
-                loss = T.cross_entropy(per_sample, gold)
-            elif cfg.variant == "linear_head_softmax":
-                hidden = model.forward_batch(pairs)
-                h = model.cls_hidden(hidden)
-                logits = T.add(
-                    T.matmul(h, T.transpose(extra["head_w"], (1, 0))), extra["head_b"]
-                )
-                cube = T.reshape(logits, (-1, n_labels, n_labels))
-                scores = T.sum_all(T.mul(cube, eye), axis=-1)
-                gold = targets.reshape(-1, n_labels).argmax(axis=1)
-                loss = T.cross_entropy(scores, gold)
-            else:
-                raise ValidationError(f"variant {cfg.variant!r} not handled by nsp_tune")
-            _check_finite(loss, f"nsp_tune[{cfg.variant}] epoch {epoch}")
-            opt.zero_grad()
-            T.backward(loss)
-            opt.step()
-            epoch_losses.append(loss.item())
-        dev_acc = evaluate_dev()
-        result.history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
-                               "dev_acc": dev_acc})
-        if dev and dev_acc > best["acc"]:
-            best.update(acc=dev_acc, epoch=epoch)
-            best["params"], best["extra"] = snapshot()
-    if best["params"] is not None:
-        for k, v in best["params"].items():
-            model.params[k].data = v
-        for k, v in best["extra"].items():
-            extra[k].data = v
-        result.best_epoch = best["epoch"]
-    return result
+                yield ([inst.pair for g in group for inst in g],
+                       np.array([[inst.target for inst in g] for g in group],
+                                dtype=np.float64))
+
+    result = TuneResult(model, cfg.variant, history=[], best_epoch=-1, extra=extra)
+    return _train_loop(result, epoch_batches, dev, task, vocab, cfg)
 
 
 def fine_tune_baseline(model, train, dev, task, vocab, cfg):
     """Fresh |Y|-way softmax head on [CLS]; no templates."""
     tok = Tokenizer(vocab)
     rng = np.random.default_rng(cfg.seed)
-    n_labels = len(task.labels)
-    head_rng = np.random.default_rng(cfg.seed + 1)
-    extra = {
-        "head_w": Tensor(_trunc_normal(head_rng, (n_labels, model.config.hidden)),
-                         requires_grad=True),
-        "head_b": Tensor(np.zeros(n_labels, dtype=np.float32), requires_grad=True),
-    }
-    params = dict(model.parameters())
-    params.update(extra)
-    opt = T.Adam(params, lr=cfg.lr)
-    result = TuneResult(model, "fine_tune", history=[], best_epoch=-1, extra=extra)
-    best = {"acc": -1.0, "params": None, "extra": None, "epoch": -1}
+    extra = _new_head(model, len(task.labels), cfg.seed)
     gold_idx = np.array([task.labels.index(ex.label) for ex in train], dtype=np.int64)
     encs = [tok.encode_single(ex.text_a, task.max_len) for ex in train]
-    for epoch in range(cfg.epochs):
+
+    def epoch_batches():
         order = rng.permutation(len(train))
-        epoch_losses = []
         for i in range(0, len(order), cfg.batch_size):
             idx = order[i : i + cfg.batch_size]
-            batch = [encs[j] for j in idx]
-            h = model.cls_hidden(model.forward_batch(batch))
-            logits = T.add(T.matmul(h, T.transpose(extra["head_w"], (1, 0))),
-                           extra["head_b"])
-            loss = T.cross_entropy(logits, gold_idx[idx])
-            _check_finite(loss, f"fine_tune epoch {epoch}")
-            opt.zero_grad()
-            T.backward(loss)
-            opt.step()
-            epoch_losses.append(loss.item())
-        dev_acc = accuracy(result.predict(dev, task, vocab), dev) if dev else float("nan")
-        result.history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
-                               "dev_acc": dev_acc})
-        if dev and dev_acc > best["acc"]:
-            best.update(acc=dev_acc, epoch=epoch)
-            best["params"] = {k: v.data.copy() for k, v in model.params.items()}
-            best["extra"] = {k: v.data.copy() for k, v in extra.items()}
-    if best["params"] is not None:
-        for k, v in best["params"].items():
-            model.params[k].data = v
-        for k, v in best["extra"].items():
-            extra[k].data = v
-        result.best_epoch = best["epoch"]
-    return result
+            yield [encs[j] for j in idx], gold_idx[idx]
+
+    result = TuneResult(model, "fine_tune", history=[], best_epoch=-1, extra=extra)
+    return _train_loop(result, epoch_batches, dev, task, vocab, cfg)
 
 
 def run_ablation(checkpoint_path, splits, task, vocab, variant,

@@ -15,6 +15,16 @@ from nspbert.tokenizer import build_vocab
 TINY_CORPUS = {"n_topics": 2, "words_per_topic": 8, "shared_words": 20,
                "n_documents": 14, "sentences_per_document": 4,
                "words_per_document": 4}
+TASK = {
+    "task_type": "single",
+    "labels": ["topic0", "topic1"],
+    "template": {"pattern": "{label}", "position": "suffix"},
+    "verbalizer": {"topic0": "t0w00", "topic1": "t1w00"},
+    "max_len": 24,
+    "k_shot": 1,
+}
+PAIR_TASK = {"task_type": "pair", "labels": ["NotEntail", "Entail"], "max_len": 24,
+             "k_shot": 1}
 
 
 def run(argv):
@@ -40,21 +50,23 @@ def workdir(tmp_path_factory):
     assert run(["--config", pre_cfg, "--seed", "4",
                 "--out", str(d / "model.nsp"), "pretrain",
                 "--corpus", str(d / "corpus.jsonl")]) == 0
-    task = {
-        "task_type": "single",
-        "labels": ["topic0", "topic1"],
-        "template": {"pattern": "{label}", "position": "suffix"},
-        "verbalizer": {"topic0": "t0w00", "topic1": "t1w00"},
-        "max_len": 24,
-        "k_shot": 1,
-    }
-    task_path = write_json(d / "task.json", task)
+    task_path = write_json(d / "task.json", TASK)
     docs = load_corpus(d / "corpus.jsonl")
     with open(d / "data.jsonl", "w") as f:
         for doc in docs:
             for si, sent in enumerate(doc.sentences):
                 f.write(json.dumps({"id": f"{doc.doc_id}-{si}", "text_a": sent,
                                     "label": f"topic{doc.topic}"}) + "\n")
+    # Sentence pairs: adjacent sentences are Entail, cross-document NotEntail.
+    with open(d / "pairs.jsonl", "w") as f:
+        for i, (doc, other) in enumerate(zip(docs, docs[1:] + docs[:1])):
+            for si in range(3):
+                f.write(json.dumps({"id": f"{i}-{si}", "text_a": doc.sentences[si],
+                                    "text_b": doc.sentences[si + 1],
+                                    "label": "Entail"}) + "\n")
+                f.write(json.dumps({"id": f"{i}-{si}x", "text_a": doc.sentences[si],
+                                    "text_b": other.sentences[si],
+                                    "label": "NotEntail"}) + "\n")
     return d, task_path
 
 
@@ -193,6 +205,35 @@ class TestReport:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert len(rep["accuracies"]) == 2
         assert (tmp_path / "report.csv").exists()
+
+
+# (task config, dataset, command) pairs that must be refused as bad input.
+BAD_INPUTS = {
+    "pair-zero_shot_nsp": (PAIR_TASK, "pairs", ["eval-zeroshot", "--mode", "zero_shot_nsp"]),
+    "pair-zero_shot_pet": (PAIR_TASK, "pairs", ["eval-zeroshot", "--mode", "zero_shot_pet"]),
+    "pair-nsp_tune": (PAIR_TASK, "pairs", ["nsp-tune"]),
+    "single-samples_contrast": (TASK, "data", ["eval-zeroshot", "--mode", "samples_contrast"]),
+    "single-thresholds": (TASK, "data", ["eval-zeroshot", "--mode", "thresholds"]),
+    "two_stage": ({**TASK, "task_type": "two_stage"}, "data", ["eval-zeroshot"]),
+    "duplicate-labels": ({**TASK, "labels": ["topic0", "topic1", "topic0"]}, "data",
+                         ["eval-zeroshot"]),
+    "k_shot-0": ({**TASK, "k_shot": 0}, "data", ["nsp-tune"]),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_exits_2_with_one_line(self, workdir, tmp_path, capsys, case):
+        d, _ = workdir
+        task, data, command = BAD_INPUTS[case]
+        capsys.readouterr()
+        code = run(["--config", write_json(tmp_path / "task.json", task),
+                    "--checkpoint", str(d / "model.nsp"), "--out", str(tmp_path / "out"),
+                    *command, "--data", str(d / f"{data}.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
 
 
 class TestExitCodes:

@@ -13,6 +13,7 @@ from nspbert.errors import (
 )
 from nspbert.model import PRESETS, EncoderConfig, EncoderModel, ISNEXT, NOTNEXT
 from nspbert.tokenizer import Tokenizer, build_vocab
+from nspbert.tuning import isnext_head, run_head
 from conftest import fd_grad, rel_err
 
 
@@ -33,23 +34,23 @@ def tiny_model(tok):
 class TestForward:
     def test_output_shape(self, tiny_model, tok):
         pair = tok.encode_pair("alpha beta", "gamma delta", 16)
-        hidden = tiny_model.forward(pair)
-        assert hidden.shape == (16, tiny_model.config.hidden)
+        hidden = tiny_model.forward_batch([pair])
+        assert hidden.shape == (1, 16, tiny_model.config.hidden)
 
     def test_pad_id_change_does_not_leak(self, tiny_model, tok):
         pair = tok.encode_pair("alpha beta", "gamma", 16)
-        base = tiny_model.forward(pair).data.copy()
+        base = tiny_model.forward_batch([pair]).data[0].copy()
         pad_pos = np.where(pair.attention_mask == 0)[0][0]
         pair.ids[pad_pos] = tok.vocab.index["mu"]
-        changed = tiny_model.forward(pair).data
+        changed = tiny_model.forward_batch([pair]).data[0]
         active = pair.attention_mask == 1
         assert np.max(np.abs(base[active] - changed[active])) < 1e-6
 
     def test_token_permutation_changes_cls(self, tiny_model, tok):
         p1 = tok.encode_pair("alpha beta", "gamma", 16)
         p2 = tok.encode_pair("beta alpha", "gamma", 16)
-        h1 = tiny_model.forward(p1).data[0]
-        h2 = tiny_model.forward(p2).data[0]
+        h1 = tiny_model.forward_batch([p1]).data[0, 0]
+        h2 = tiny_model.forward_batch([p2]).data[0, 0]
         assert np.max(np.abs(h1 - h2)) > 1e-5
 
     def test_length_overflow_rejected(self, tok):
@@ -58,13 +59,13 @@ class TestForward:
         model = EncoderModel(cfg)
         pair = tok.encode_pair("alpha beta", "gamma", 32)
         with pytest.raises(DimensionError):
-            model.forward(pair)
+            model.forward_batch([pair])
 
 
 class TestNspHead:
     def test_probability_in_unit_interval(self, tiny_model, tok):
         pair = tok.encode_pair("alpha beta", "gamma delta", 16)
-        q = tiny_model.nsp_prob_isnext(pair)
+        (q,) = run_head(tiny_model, [pair], isnext_head, 1)
         assert 0.0 < q < 1.0
 
     def test_two_way_distribution(self, tiny_model, tok):
@@ -88,8 +89,8 @@ class TestMlmHead:
 
     def test_requires_recorded_position(self, tiny_model, tok):
         pair = tok.encode_pair("alpha beta", "gamma", 16)
-        with pytest.raises(ValidationError):
-            tiny_model.mlm_token_prob(pair, 1, 0)
+        with pytest.raises(ValidationError, match="no recorded mask positions"):
+            tiny_model.mlm_mask_probs(pair)
 
 
 class TestPresets:
@@ -114,8 +115,8 @@ class TestCheckpoint:
         tiny_model.save_checkpoint(path)
         loaded = EncoderModel.load_checkpoint(path)
         pair = tok.encode_pair("alpha beta", "gamma delta", 16)
-        h1 = tiny_model.forward(pair).data
-        h2 = loaded.forward(pair).data
+        h1 = tiny_model.forward_batch([pair]).data
+        h2 = loaded.forward_batch([pair]).data
         assert np.array_equal(h1, h2)
         for name, p in tiny_model.params.items():
             assert np.array_equal(p.data, loaded.params[name].data)

@@ -1,4 +1,4 @@
-"""Templates, verbalizers, rendering for all task shapes, and PET cloze
+"""Templates, verbalizers, rendering, task configs, and PET cloze
 construction."""
 
 import numpy as np
@@ -8,12 +8,9 @@ from nspbert.errors import ValidationError
 from nspbert.prompting import (
     PromptTemplate,
     TaskConfig,
-    TwoStagePrompt,
     Verbalizer,
-    render_pair,
     render_pet,
     render_single,
-    render_two_stage,
 )
 from nspbert.tokenizer import Tokenizer, build_vocab
 
@@ -73,38 +70,6 @@ class TestRenderSingle:
         a, b = render_single("match tonight", t, self.VERB, "tech")
         assert a == "this is technology news"
         assert b == "match tonight"
-
-
-class TestRenderPair:
-    def test_original_order(self):
-        assert render_pair("p", "h") == ("p", "h")
-
-    def test_reversed_order(self):
-        assert render_pair("p", "h", order="reversed") == ("h", "p")
-
-    def test_bad_order(self):
-        with pytest.raises(ValidationError, match="order"):
-            render_pair("p", "h", order="shuffled")
-
-
-class TestRenderTwoStage:
-    PROMPT = TwoStagePrompt("in this sentence, {mention} is", "{description}")
-
-    def test_composition(self):
-        a, b = render_two_stage("jim lives here", "jim", "a person",
-                               self.PROMPT)
-        assert a == "jim lives here, in this sentence, jim is"
-        assert b == "a person"
-
-    def test_empty_mention_rejected(self):
-        with pytest.raises(ValidationError, match="mention"):
-            render_two_stage("x", "", "d", self.PROMPT)
-
-    def test_stage_slots_validated(self):
-        with pytest.raises(ValidationError, match="stage1"):
-            TwoStagePrompt("no slot", "{description}")
-        with pytest.raises(ValidationError, match="stage2"):
-            TwoStagePrompt("{mention}", "no slot")
 
 
 @pytest.fixture()

@@ -278,9 +278,9 @@ class TestModelScoring:
         model, vocab, task = small_setup
         import dataclasses
 
-        solo = dataclasses.replace(task, labels=["sports"],
-                                   verbalizer=Verbalizer({"sports": "sports"}))
         with pytest.raises(ValidationError, match="at least 2"):
+            solo = dataclasses.replace(task, labels=["sports"],
+                                       verbalizer=Verbalizer({"sports": "sports"}))
             score_candidates(model, vocab, "x", solo)
 
     def test_pet_score_is_distribution(self, small_setup):
