@@ -7,17 +7,21 @@ cross-entropy; compares against a fresh [CLS] classification head.
 Run:  python3 demos/few_shot.py        (~6-8 minutes on one core)
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from nspbert.corpus import SyntheticCorpusConfig, generate_corpus
-from nspbert.harness import KShotSplit, kshot_split, make_synthetic_task
+from nspbert.harness import KShotSplit, kshot_split, make_synthetic_task, run_split
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.pretrain import pretrain, vocab_from_documents
-from nspbert.tuning import TuningConfig, accuracy, fine_tune_baseline, nsp_tune
+from nspbert.tuning import TuningConfig
 
 K = 8
 SEEDS = (13, 21)
 STEPS = 2000
+CHECKPOINT = os.path.join(tempfile.gettempdir(), "demo-fewshot.nsp")
 
 corpus_cfg = SyntheticCorpusConfig(seed=7)
 docs = generate_corpus(corpus_cfg)
@@ -25,7 +29,7 @@ vocab = vocab_from_documents(docs)
 base = EncoderModel(EncoderConfig.preset("micro", vocab_size=len(vocab)), seed=21)
 print(f"pre-training for {STEPS} steps ...")
 pretrain(base, docs, vocab, steps=STEPS, seed=21)
-base.save_checkpoint("/tmp/demo-fewshot.nsp")
+base.save_checkpoint(CHECKPOINT)
 
 examples, task = make_synthetic_task(corpus_cfg, "topic", seed=1, n_documents=60)
 rng = np.random.default_rng(0)
@@ -35,13 +39,11 @@ for seed in SEEDS:
     dev = [s.dev[i] for i in rng.choice(len(s.dev), 80, replace=False)]
     test = [s.test[i] for i in rng.choice(len(s.test), 120, replace=False)]
     split = KShotSplit(s.train, dev, test, seed)
-    results = {}
-    for variant, fn in (("coupled_bce", nsp_tune), ("fine_tune", fine_tune_baseline)):
-        model = EncoderModel.load_checkpoint("/tmp/demo-fewshot.nsp")
-        cfg = TuningConfig(epochs=4, lr=1e-4, batch_size=8, variant=variant,
-                           seed=seed)
-        res = fn(model, split.train, split.dev, task, vocab, cfg)
-        results[variant] = accuracy(res.predict(split.test, task, vocab),
-                                    split.test)
+    results = {
+        variant: run_split(CHECKPOINT, split, task, vocab,
+                           TuningConfig(epochs=4, lr=1e-4, batch_size=8,
+                                        variant=variant)).test_acc
+        for variant in ("coupled_bce", "fine_tune")
+    }
     print(f"seed {seed}: K={K} NSP-tuning {results['coupled_bce']:.3f}  "
           f"fine-tune baseline {results['fine_tune']:.3f}")

@@ -24,6 +24,7 @@ from .harness import (
     load_jsonl,
     make_synthetic_task,
     run_experiment,
+    run_split,
 )
 from .model import EncoderConfig, EncoderModel, PRESETS
 from .pretrain import nsp_accuracy, pretrain, vocab_from_documents
@@ -53,7 +54,6 @@ from .tuning import (
     build_instances,
     fine_tune_baseline,
     nsp_tune,
-    run_ablation,
 )
 
 __version__ = "0.1.0"

@@ -17,11 +17,15 @@ import click
 from .corpus import SyntheticCorpusConfig, generate_corpus, load_corpus, save_corpus
 from .errors import DivergenceError, NspBertError, ValidationError
 from .harness import (
+    ABLATION_FIELDS,
     DEFAULT_SEEDS,
+    TUNING_KEYS,
     ExperimentConfig,
     kshot_split,
     load_jsonl,
+    mean_std,
     run_experiment,
+    run_split,
 )
 from .model import EncoderConfig, EncoderModel
 from .prompting import TaskConfig
@@ -33,14 +37,7 @@ from .scoring import (
     samples_contrast,
 )
 from .tokenizer import Vocab
-from .tuning import (
-    TuningConfig,
-    VARIANTS,
-    accuracy,
-    fine_tune_baseline,
-    nsp_tune,
-    run_ablation,
-)
+from .tuning import VARIANTS, TuningConfig
 
 
 @click.group()
@@ -65,13 +62,6 @@ def _require(ctx, key):
     if val is None:
         raise ValidationError(f"--{key} is required for this command")
     return val
-
-
-def _load_model_and_vocab(ctx):
-    path = _require(ctx, "checkpoint")
-    model = EncoderModel.load_checkpoint(path)
-    vocab = Vocab.load(path + ".vocab")
-    return model, vocab
 
 
 @cli.command("gen-corpus")
@@ -134,7 +124,8 @@ def eval_zeroshot(ctx, data, mode):
     from .harness import evaluate
 
     task = TaskConfig.load(_require(ctx, "config"))
-    model, vocab = _load_model_and_vocab(ctx)
+    checkpoint = _require(ctx, "checkpoint")
+    model, vocab = EncoderModel.load_checkpoint(checkpoint), Vocab.load(checkpoint + ".vocab")
     examples = load_jsonl(data, task)
     dev = None
     if mode in ("samples_contrast", "thresholds"):
@@ -156,17 +147,8 @@ def map_samples(ctx, scored):
     """Apply samples-contrast mapping to a scored-sample file."""
     task = TaskConfig.load(_require(ctx, "config"))
     samples = load_scored_jsonl(scored)
-    with_gold = [s for s in samples if s.gold is not None]
-    if not with_gold:
-        raise ValidationError("no gold labels in scored file; cannot derive distribution")
-    counts = {l: 0 for l in task.labels}
-    for s in with_gold:
-        if s.gold not in counts:
-            raise ValidationError(f"gold label {s.gold!r} not in task labels")
-        counts[s.gold] += 1
-    dist = LabelDistribution(
-        task.labels, [counts[l] / len(with_gold) for l in task.labels]
-    )
+    dist = LabelDistribution.from_gold([s.gold for s in samples if s.gold is not None],
+                                       task.labels)
     labels = samples_contrast(samples, task.mapping.get("order", "ascending"),
                               dist, task.mapping.get("batch_size", 16))
     out = _require(ctx, "out")
@@ -176,28 +158,27 @@ def map_samples(ctx, scored):
     click.echo(f"mapped {len(samples)} samples to {out}")
 
 
-def _tune_common(ctx, data, fn, variant):
+def _tune(ctx, data, variant):
+    """Tune on the K-shot split of --seed; save the tuned model to --out."""
     task = TaskConfig.load(_require(ctx, "config"))
-    model, vocab = _load_model_and_vocab(ctx)
-    examples = load_jsonl(data, task)
-    split = kshot_split(examples, task.k_shot, ctx.obj["seed"])
-    cfg = TuningConfig(variant=variant, seed=ctx.obj["seed"])
-    res = fn(model, split.train, split.dev, task, vocab, cfg)
-    test_acc = accuracy(res.predict(split.test, task, vocab), split.test)
+    checkpoint = _require(ctx, "checkpoint")
+    vocab = Vocab.load(checkpoint + ".vocab")
+    split = kshot_split(load_jsonl(data, task), task.k_shot, ctx.obj["seed"])
+    run = run_split(checkpoint, split, task, vocab, TuningConfig(variant=variant))
     out = _require(ctx, "out")
-    model.save_checkpoint(out)
+    run.tuned.model.save_checkpoint(out)
     vocab.save(out + ".vocab")
-    click.echo(json.dumps({"variant": variant, "best_epoch": res.best_epoch,
-                           "test_accuracy": test_acc}))
+    click.echo(json.dumps({"variant": variant, "best_epoch": run.epoch,
+                           "test_accuracy": run.test_acc}))
 
 
 @cli.command("nsp-tune")
 @click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--variant", type=click.Choice(list(VARIANTS)), default="coupled_bce")
+@click.option("--variant", type=click.Choice(list(VARIANTS)), default=TuningConfig.variant)
 @click.pass_context
 def nsp_tune_cmd(ctx, data, variant):
     """NSP-tuning on a K-shot split of the dataset."""
-    _tune_common(ctx, data, nsp_tune, variant)
+    _tune(ctx, data, variant)
 
 
 @cli.command("fine-tune")
@@ -205,7 +186,7 @@ def nsp_tune_cmd(ctx, data, variant):
 @click.pass_context
 def fine_tune_cmd(ctx, data):
     """Standard fine-tuning baseline (fresh [CLS] head, no templates)."""
-    _tune_common(ctx, data, fine_tune_baseline, "fine_tune")
+    _tune(ctx, data, "fine_tune")
 
 
 @cli.command("ablate")
@@ -220,14 +201,14 @@ def ablate(ctx, data):
     splits = [kshot_split(examples, task.k_shot, s) for s in DEFAULT_SEEDS]
     out = _require(ctx, "out")
     with open(out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["variant", "seed", "epoch", "dev_acc", "test_acc"]
-        )
+        writer = csv.DictWriter(f, fieldnames=ABLATION_FIELDS)
         writer.writeheader()
         for variant in VARIANTS:
-            rows, summary = run_ablation(checkpoint, splits, task, vocab, variant)
-            writer.writerows(rows)
-            click.echo(f"{variant}: mean={summary['mean']:.4f} std={summary['std']:.4f}")
+            runs = [run_split(checkpoint, split, task, vocab, TuningConfig(variant=variant))
+                    for split in splits]
+            writer.writerows(run.row() for run in runs)
+            mean, std = mean_std([run.test_acc for run in runs])
+            click.echo(f"{variant}: mean={mean:.4f} std={std:.4f}")
     click.echo(f"wrote {out}")
 
 
@@ -243,8 +224,7 @@ def report(ctx):
     exp = ExperimentConfig(
         mode=cfg["mode"], checkpoint=checkpoint, task=task, data=examples,
         k=cfg.get("k", task.k_shot), seeds=tuple(cfg.get("seeds", DEFAULT_SEEDS)),
-        epochs=cfg.get("epochs", 10), lr=cfg.get("lr", 2e-5),
-        batch_size=cfg.get("batch_size", 8), variant=cfg.get("variant", "coupled_bce"),
+        tuning=TuningConfig(**{key: cfg[key] for key in TUNING_KEYS if key in cfg}),
     )
     rep = run_experiment(exp, vocab)
     out = _require(ctx, "out")

@@ -49,13 +49,6 @@ class SyntheticCorpusConfig:
     def shared_lexicon(self):
         return [f"com{j:03d}" for j in range(self.shared_words)]
 
-    def all_words(self):
-        words = []
-        for t in range(self.n_topics):
-            words.extend(self.topic_lexicon(t))
-        words.extend(self.shared_lexicon())
-        return words
-
 
 @dataclass
 class Document:

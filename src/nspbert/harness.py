@@ -10,6 +10,7 @@ checkpoint fingerprints.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ from .scoring import (
 )
 from .tokenizer import Tokenizer
 from .tuning import (
+    VARIANTS,
+    TuneResult,
     TuningConfig,
     accuracy,
     fine_tune_baseline,
@@ -104,6 +107,8 @@ class KShotSplit:
 
 def kshot_split(data, k, seed):
     """K train + 10K dev per class, disjoint; the rest is the test set."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"K must be an integer >= 1, got {k!r}")
     by_label = {}
     for ex in data:
         by_label.setdefault(ex.label, []).append(ex)
@@ -124,6 +129,9 @@ def kshot_split(data, k, seed):
             dev.append(pool[i])
         chosen.update(id(pool[i]) for i in picks)
     test = [ex for ex in data if id(ex) not in chosen]
+    if not test:
+        raise ValidationError(f"K={k} takes all {len(data)} examples for train and dev; "
+                              "no test example is left")
     return KShotSplit(train, dev, test, seed)
 
 
@@ -139,8 +147,6 @@ def make_synthetic_task(corpus_cfg, task_type, seed, n_documents=250):
     maps each topic to a fixed topic-lexicon word.  "pair": Entail =
     adjacent sentences, NotEntail = cross-document, balanced 50/50.
     """
-    import dataclasses
-
     task_corpus_cfg = dataclasses.replace(
         corpus_cfg, n_documents=n_documents, seed=seed + 10_000
     )
@@ -211,7 +217,7 @@ def evaluate(model, vocab, test, task, mode, dev=None):
     if dev is None:
         raise ValidationError(f"mode {mode!r} requires a dev set")
     if mode == "samples_contrast":
-        dist = LabelDistribution.from_gold(dev, task.labels)
+        dist = LabelDistribution.from_gold([ex.label for ex in dev], task.labels)
         scored = score_pairs(model, vocab, test, task)
         preds = samples_contrast(scored, task.mapping.get("order", "ascending"),
                                  dist, task.mapping.get("batch_size", 16))
@@ -228,6 +234,53 @@ def evaluate(model, vocab, test, task, mode, dev=None):
 # Experiments
 
 
+# The TuningConfig fields an experiment config sets; the seed is each split's.
+TUNING_KEYS = ("epochs", "lr", "batch_size", "variant")
+ABLATION_FIELDS = ("variant", "seed", "epoch", "dev_acc", "test_acc")
+
+
+@dataclass
+class SplitRun:
+    """The outcome of one K-shot split.  `variant` is the tuning variant, or
+    the eval mode when nothing was tuned; `tuned` holds the trained model."""
+
+    variant: str
+    seed: int
+    epoch: int  # best dev epoch; -1 when untuned or without a dev set
+    dev_acc: float  # best dev accuracy; nan when untuned
+    test_acc: float
+    split_fingerprint: str
+    tuned: TuneResult = None
+
+    def row(self):
+        """The ablation CSV row."""
+        return {key: getattr(self, key) for key in ABLATION_FIELDS}
+
+
+def run_split(checkpoint, split, task, vocab, tuning=None, mode=None):
+    """Load the checkpoint and score split.test.  With `tuning`, first train
+    it on split.train (variant "fine_tune": `fine_tune_baseline`, else
+    `nsp_tune`) seeded by split.seed, keeping the best split.dev epoch;
+    without, evaluate `mode` with split.dev as its dev set."""
+    model = EncoderModel.load_checkpoint(checkpoint)
+    if tuning is None:
+        acc = evaluate(model, vocab, split.test, task, mode, dev=split.dev)
+        return SplitRun(mode, split.seed, -1, float("nan"), acc, split.fingerprint())
+    cfg = dataclasses.replace(tuning, seed=split.seed)
+    train = fine_tune_baseline if cfg.variant == "fine_tune" else nsp_tune
+    res = train(model, split.train, split.dev, task, vocab, cfg)
+    dev_acc = max(h["dev_acc"] for h in res.history) if res.history else float("nan")
+    test_acc = accuracy(res.predict(split.test, task, vocab), split.test)
+    return SplitRun(cfg.variant, split.seed, res.best_epoch, dev_acc, test_acc,
+                    split.fingerprint(), res)
+
+
+def mean_std(accs):
+    """Mean and population std (ddof=0) of per-seed accuracies."""
+    arr = np.array(accs)
+    return float(arr.mean()), float(arr.std())
+
+
 @dataclass
 class ExperimentConfig:
     mode: str  # "nsp_tuning" | "fine_tune" | any EVAL_MODES zero-shot mode
@@ -236,17 +289,13 @@ class ExperimentConfig:
     data: list  # Example pool
     k: int = 16
     seeds: tuple = DEFAULT_SEEDS
-    epochs: int = 10
-    lr: float = 2e-5
-    batch_size: int = 8
-    variant: str = "coupled_bce"
+    tuning: TuningConfig = field(default_factory=TuningConfig)  # read by tuning modes
 
     def fingerprint(self):
         payload = {
             "mode": self.mode, "k": self.k, "seeds": list(self.seeds),
-            "epochs": self.epochs, "lr": self.lr, "batch_size": self.batch_size,
-            "variant": self.variant, "task": self.task.to_dict(),
-            "n_examples": len(self.data),
+            **{key: getattr(self.tuning, key) for key in TUNING_KEYS},
+            "task": self.task.to_dict(), "n_examples": len(self.data),
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -287,36 +336,24 @@ def file_hash(path):
 
 
 def run_experiment(cfg, vocab):
-    """5 seeds x (split, tune, evaluate); mean and population std."""
-    accs, per_seed = [], []
-    for seed in cfg.seeds:
-        split = kshot_split(cfg.data, cfg.k, seed)
-        model = EncoderModel.load_checkpoint(cfg.checkpoint)
-        if cfg.mode == "nsp_tuning":
-            tcfg = TuningConfig(epochs=cfg.epochs, lr=cfg.lr,
-                                batch_size=cfg.batch_size, variant=cfg.variant,
-                                seed=seed)
-            res = nsp_tune(model, split.train, split.dev, cfg.task, vocab, tcfg)
-            acc = accuracy(res.predict(split.test, cfg.task, vocab), split.test)
-        elif cfg.mode == "fine_tune":
-            tcfg = TuningConfig(epochs=cfg.epochs, lr=cfg.lr,
-                                batch_size=cfg.batch_size, variant="fine_tune",
-                                seed=seed)
-            res = fine_tune_baseline(model, split.train, split.dev, cfg.task,
-                                     vocab, tcfg)
-            acc = accuracy(res.predict(split.test, cfg.task, vocab), split.test)
-        else:
-            acc = evaluate(model, vocab, split.test, cfg.task, cfg.mode,
-                           dev=split.dev)
-        accs.append(acc)
-        per_seed.append({"seed": seed, "accuracy": acc,
-                         "split_fingerprint": split.fingerprint()})
-    arr = np.array(accs)
+    """One run_split per seed; mean and population std of test accuracy."""
+    tuning = None
+    if cfg.mode == "fine_tune":
+        tuning = dataclasses.replace(cfg.tuning, variant="fine_tune")
+    elif cfg.mode == "nsp_tuning":
+        if cfg.tuning.variant not in VARIANTS:
+            raise ValidationError(f"mode 'nsp_tuning' cannot run variant {cfg.tuning.variant!r}")
+        tuning = cfg.tuning
+    runs = [run_split(cfg.checkpoint, kshot_split(cfg.data, cfg.k, seed), cfg.task, vocab,
+                      tuning, cfg.mode) for seed in cfg.seeds]
+    accs = [r.test_acc for r in runs]
+    mean, std = mean_std(accs)
     return ExperimentReport(
         accuracies=accs,
-        mean=float(arr.mean()),
-        std=float(arr.std()),
+        mean=mean,
+        std=std,
         config_fingerprint=cfg.fingerprint(),
         checkpoint_hash=file_hash(cfg.checkpoint),
-        per_seed=per_seed,
+        per_seed=[{"seed": r.seed, "accuracy": r.test_acc,
+                   "split_fingerprint": r.split_fingerprint} for r in runs],
     )

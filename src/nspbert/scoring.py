@@ -53,14 +53,16 @@ class LabelDistribution:
             raise ValidationError(f"proportions sum to {sum(self.proportions)}, not 1")
 
     @classmethod
-    def from_gold(cls, examples, labels):
+    def from_gold(cls, golds, labels):
+        """Label frequencies of a list of gold labels, in `labels` order."""
+        if not golds:
+            raise ValidationError("cannot derive a label distribution from no gold labels")
         counts = {l: 0 for l in labels}
-        for ex in examples:
-            counts[ex.label] += 1
-        n = sum(counts.values())
-        if n == 0:
-            raise ValidationError("cannot derive a label distribution from no examples")
-        return cls(list(labels), [counts[l] / n for l in labels])
+        for gold in golds:
+            if gold not in counts:
+                raise ValidationError(f"gold label {gold!r} not in task labels")
+            counts[gold] += 1
+        return cls(list(labels), [counts[l] / len(golds) for l in labels])
 
     def majority_label(self):
         return self.labels[int(np.argmax(self.proportions))]

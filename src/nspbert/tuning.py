@@ -38,8 +38,6 @@ VARIANTS = (
 class NspTuningInstance:
     pair: object  # EncodedPair
     target: int  # 1 = gold verbalization, 0 = negative
-    parent_id: object
-    label_index: int
 
 
 @dataclass
@@ -78,8 +76,8 @@ def build_instances(example, task, tokenizer):
     if example.label not in task.labels:
         raise ValidationError(f"gold label {example.label!r} not in task labels")
     pairs = encode_candidates(example.text_a, task, tokenizer)
-    return [NspTuningInstance(pair, int(label == example.label), example.id, j)
-            for j, (label, pair) in enumerate(zip(task.labels, pairs))]
+    return [NspTuningInstance(pair, int(label == example.label))
+            for label, pair in zip(task.labels, pairs)]
 
 
 def isnext_head(model, hidden):
@@ -300,28 +298,3 @@ def fine_tune_baseline(model, train, dev, task, vocab, cfg):
 
     result = TuneResult(model, "fine_tune", history=[], best_epoch=-1, extra=extra)
     return _train_loop(result, epoch_batches, dev, task, vocab, cfg)
-
-
-def run_ablation(checkpoint_path, splits, task, vocab, variant,
-                 epochs=10, lr=2e-5, batch_size=8):
-    """Run one Table-style ablation variant over the given K-shot splits.
-
-    Returns (rows, summary): one row per seed with the best epoch and
-    dev/test accuracies, plus mean and population std of test accuracy.
-    """
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown ablation variant {variant!r}")
-    rows = []
-    for split in splits:
-        model = EncoderModel.load_checkpoint(checkpoint_path)
-        cfg = TuningConfig(epochs=epochs, lr=lr, batch_size=batch_size,
-                           variant=variant, seed=split.seed)
-        res = nsp_tune(model, split.train, split.dev, task, vocab, cfg)
-        test_acc = accuracy(res.predict(split.test, task, vocab), split.test)
-        dev_acc = max(h["dev_acc"] for h in res.history) if res.history else float("nan")
-        rows.append({"variant": variant, "seed": split.seed, "epoch": res.best_epoch,
-                     "dev_acc": dev_acc, "test_acc": test_acc})
-    accs = np.array([r["test_acc"] for r in rows])
-    summary = {"variant": variant, "mean": float(accs.mean()),
-               "std": float(accs.std())}
-    return rows, summary

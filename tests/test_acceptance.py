@@ -19,6 +19,8 @@ from nspbert.harness import (
     evaluate,
     kshot_split,
     make_synthetic_task,
+    mean_std,
+    run_split,
 )
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.pretrain import nsp_accuracy
@@ -33,8 +35,7 @@ from nspbert.scoring import (
 )
 from nspbert.tensor import Tensor
 from nspbert.tokenizer import Tokenizer, Vocab, build_vocab
-from nspbert.tuning import VARIANTS, accuracy, fine_tune_baseline, run_ablation
-from nspbert.tuning import TuningConfig, nsp_tune
+from nspbert.tuning import VARIANTS, TuningConfig
 from conftest import STANDARD_CORPUS, fd_grad, rel_err
 
 # Few-shot protocol constants for criteria 6-7.
@@ -87,10 +88,12 @@ def ablation_results(pretrained, fewshot_splits, topic_task):
     vocab = pretrained["vocab"]
     out = {}
     for variant in VARIANTS:
-        out[variant] = run_ablation(
-            pretrained["checkpoint"], fewshot_splits, task, vocab, variant,
-            epochs=TUNE_EPOCHS, lr=TUNE_LR, batch_size=8,
-        )
+        tuning = TuningConfig(epochs=TUNE_EPOCHS, lr=TUNE_LR, batch_size=8, variant=variant)
+        runs = [run_split(pretrained["checkpoint"], split, task, vocab, tuning)
+                for split in fewshot_splits]
+        mean, std = mean_std([run.test_acc for run in runs])
+        out[variant] = ([run.row() for run in runs],
+                        {"variant": variant, "mean": mean, "std": std})
     return out
 
 
@@ -390,15 +393,10 @@ class TestCriterion6:
         rows, summary = ablation_results["coupled_bce"]
         tuned_mean = summary["mean"]
         zs_mean = float(np.mean(zeroshot_by_seed))
-        ft_accs = []
-        for split in fewshot_splits:
-            model = EncoderModel.load_checkpoint(pretrained["checkpoint"])
-            cfg = TuningConfig(epochs=TUNE_EPOCHS, lr=TUNE_LR, batch_size=8,
-                               variant="fine_tune", seed=split.seed)
-            res = fine_tune_baseline(model, split.train, split.dev, task,
-                                     vocab, cfg)
-            ft_accs.append(accuracy(res.predict(split.test, task, vocab),
-                                    split.test))
+        tuning = TuningConfig(epochs=TUNE_EPOCHS, lr=TUNE_LR, batch_size=8,
+                              variant="fine_tune")
+        ft_accs = [run_split(pretrained["checkpoint"], split, task, vocab, tuning).test_acc
+                   for split in fewshot_splits]
         ft_mean = float(np.mean(ft_accs))
         fast = sum(1 for r in rows if r["epoch"] <= 2)
         # asserted clause: tuning never loses to zero-shot on average

@@ -9,8 +9,10 @@ import pytest
 
 from nspbert.cli import main
 from nspbert.corpus import load_corpus
+from nspbert.harness import DEFAULT_SEEDS
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.tokenizer import build_vocab
+from nspbert.tuning import VARIANTS
 
 TINY_CORPUS = {"n_topics": 2, "words_per_topic": 8, "shared_words": 20,
                "n_documents": 14, "sentences_per_document": 4,
@@ -67,6 +69,12 @@ def workdir(tmp_path_factory):
                 f.write(json.dumps({"id": f"{i}-{si}x", "text_a": doc.sentences[si],
                                     "text_b": other.sentences[si],
                                     "label": "NotEntail"}) + "\n")
+    # Exactly 11 examples per class: a K=1 split leaves no test example.
+    rows = [json.loads(l) for l in (d / "data.jsonl").read_text().splitlines()]
+    with open(d / "exact.jsonl", "w") as f:
+        for label in TASK["labels"]:
+            for rec in [r for r in rows if r["label"] == label][:11]:
+                f.write(json.dumps(rec) + "\n")
     return d, task_path
 
 
@@ -192,6 +200,20 @@ class TestHistogram:
         assert sum(int(r[2]) for r in rows[1:]) == 3
 
 
+class TestAblate:
+    def test_variant_by_seed_rows(self, workdir, tmp_path):
+        d, task_path = workdir
+        out = tmp_path / "ablation.csv"
+        assert run(["--config", task_path, "--checkpoint", str(d / "model.nsp"),
+                    "--out", str(out), "ablate", "--data", str(d / "data.jsonl")]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["variant", "seed", "epoch", "dev_acc", "test_acc"]
+        assert [(r[0], int(r[1])) for r in rows[1:]] == [
+            (v, s) for v in VARIANTS for s in DEFAULT_SEEDS]
+        assert all(0.0 <= float(r[4]) <= 1.0 for r in rows[1:])
+
+
 class TestReport:
     def test_multi_seed_report(self, workdir, tmp_path):
         d, task_path = workdir
@@ -206,8 +228,25 @@ class TestReport:
         assert len(rep["accuracies"]) == 2
         assert (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["nsp_tuning", "fine_tune"])
+    def test_tuning_modes(self, workdir, tmp_path, mode):
+        d, task_path = workdir
+        cfg = write_json(tmp_path / "exp.json", {
+            "task": task_path, "data": str(d / "data.jsonl"),
+            "checkpoint": str(d / "model.nsp"), "mode": mode,
+            "k": 1, "seeds": [13, 21], "epochs": 2, "lr": 1e-3,
+        })
+        assert run(["--config", cfg, "--out", str(tmp_path / "report"), "report"]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert [r["seed"] for r in rep["per_seed"]] == [13, 21]
+        assert rep["accuracies"] == [r["accuracy"] for r in rep["per_seed"]]
+        assert rep["mean"] == pytest.approx(float(np.mean(rep["accuracies"])))
+        assert rep["std"] == pytest.approx(float(np.std(rep["accuracies"])))
+        assert all(len(r["split_fingerprint"]) == 16 for r in rep["per_seed"])
 
-# (task config, dataset, command) pairs that must be refused as bad input.
+
+# (task config, dataset, command) triples that must be refused as bad input;
+# a "report" command carries the experiment config keys instead of --data.
 BAD_INPUTS = {
     "pair-zero_shot_nsp": (PAIR_TASK, "pairs", ["eval-zeroshot", "--mode", "zero_shot_nsp"]),
     "pair-zero_shot_pet": (PAIR_TASK, "pairs", ["eval-zeroshot", "--mode", "zero_shot_pet"]),
@@ -218,6 +257,9 @@ BAD_INPUTS = {
     "duplicate-labels": ({**TASK, "labels": ["topic0", "topic1", "topic0"]}, "data",
                          ["eval-zeroshot"]),
     "k_shot-0": ({**TASK, "k_shot": 0}, "data", ["nsp-tune"]),
+    "empty-test-nsp_tune": (TASK, "exact", ["nsp-tune"]),
+    "empty-test-fine_tune": (TASK, "exact", ["fine-tune"]),
+    "report-k-0": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 0}]),
 }
 
 
@@ -226,10 +268,15 @@ class TestBadInput:
     def test_exits_2_with_one_line(self, workdir, tmp_path, capsys, case):
         d, _ = workdir
         task, data, command = BAD_INPUTS[case]
+        task_path, data_path = write_json(tmp_path / "task.json", task), str(d / f"{data}.jsonl")
+        if command[0] == "report":
+            exp = {"task": task_path, "data": data_path, **command[1]}
+            config, command = write_json(tmp_path / "exp.json", exp), ["report"]
+        else:
+            config, command = task_path, [*command, "--data", data_path]
         capsys.readouterr()
-        code = run(["--config", write_json(tmp_path / "task.json", task),
-                    "--checkpoint", str(d / "model.nsp"), "--out", str(tmp_path / "out"),
-                    *command, "--data", str(d / f"{data}.jsonl")])
+        code = run(["--config", config, "--checkpoint", str(d / "model.nsp"),
+                    "--out", str(tmp_path / "out"), *command])
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.endswith("\n"), err

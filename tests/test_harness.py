@@ -27,6 +27,7 @@ from nspbert.harness import (
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
 from nspbert.tokenizer import build_vocab
+from nspbert.tuning import TuningConfig
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsi", "zeta"]
 
@@ -134,6 +135,15 @@ class TestKShotSplit:
         fps = {kshot_split(data, 1, seed=s).fingerprint() for s in DEFAULT_SEEDS}
         assert len(fps) > 1
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, "2"])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValidationError, match="K must be"):
+            kshot_split(_pair_examples(15), k, 0)
+
+    def test_no_test_example_rejected(self):
+        with pytest.raises(ValidationError, match="no test example"):
+            kshot_split(_pair_examples(11), 1, 0)
+
     def test_insufficient_data_rejected(self):
         data = _pair_examples(10)  # needs 11 per class for K=1
         with pytest.raises(ValidationError, match="K=1"):
@@ -228,6 +238,15 @@ class TestExperiment:
         assert cfg.fingerprint() == self._config("x", pair_task, data).fingerprint()
         other = dataclasses.replace(cfg, k=4)
         assert other.fingerprint() != cfg.fingerprint()
+        other = dataclasses.replace(cfg, tuning=TuningConfig(lr=1e-3))
+        assert other.fingerprint() != cfg.fingerprint()
+
+    def test_nsp_tuning_rejects_fine_tune_variant(self, tiny_model, pair_task):
+        _, vocab = tiny_model
+        cfg = dataclasses.replace(self._config("x", pair_task, _pair_examples(15)),
+                                  mode="nsp_tuning", tuning=TuningConfig(variant="fine_tune"))
+        with pytest.raises(ValidationError, match="nsp_tuning"):
+            run_experiment(cfg, vocab)
 
     def test_run_experiment_report(self, tiny_model, pair_task, tmp_path):
         model, vocab = tiny_model

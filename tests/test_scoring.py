@@ -3,7 +3,6 @@ dev-set thresholds, PET scoring and the histogram/JSONL emitters."""
 
 import csv
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,9 +64,12 @@ class TestLabelDistribution:
             LabelDistribution(["a"], [0.5, 0.5])
 
     def test_from_gold(self):
-        examples = [SimpleNamespace(label=l) for l in ["a", "a", "b", "a"]]
-        d = LabelDistribution.from_gold(examples, ["a", "b"])
+        d = LabelDistribution.from_gold(["a", "a", "b", "a"], ["a", "b"])
         assert d.proportions == [0.75, 0.25]
+
+    def test_from_gold_unknown_label(self):
+        with pytest.raises(ValidationError, match="'c' not in task labels"):
+            LabelDistribution.from_gold(["a", "c"], ["a", "b"])
 
     def test_from_gold_empty(self):
         with pytest.raises(ValidationError):

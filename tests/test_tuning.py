@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nspbert.errors import DivergenceError, ValidationError
-from nspbert.harness import Example, KShotSplit
+from nspbert.harness import Example, KShotSplit, evaluate, mean_std, run_split
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
 from nspbert.tokenizer import Tokenizer, build_vocab
@@ -13,9 +13,9 @@ from nspbert.tuning import (
     TuningConfig,
     accuracy,
     build_instances,
+    encode_candidates,
     fine_tune_baseline,
     nsp_tune,
-    run_ablation,
 )
 
 LABELS = ["sports", "politics"]
@@ -75,7 +75,8 @@ class TestBuildInstances:
         targets = [inst.target for inst in instances]
         assert sum(targets) == 1
         assert targets[task.labels.index(ex.label)] == 1
-        assert all(inst.parent_id == ex.id for inst in instances)
+        own = encode_candidates(ex.text_a, task, Tokenizer(vocab))
+        assert [i.pair.ids.tolist() for i in instances] == [p.ids.tolist() for p in own]
 
     def test_unknown_gold_label(self, setup):
         vocab, cfg, task, split = setup
@@ -182,27 +183,53 @@ class TestAccuracy:
         assert accuracy(["x", "y"], exs) == 1.0
 
 
-class TestRunAblation:
-    def test_rows_and_summary(self, setup, tmp_path):
-        vocab, cfg, task, split = setup
-        ckpt = tmp_path / "m.nsp"
-        EncoderModel(cfg, seed=0).save_checkpoint(ckpt)
-        splits = [split, KShotSplit(split.train, split.dev, split.test, seed=1)]
-        rows, summary = run_ablation(ckpt, splits, task, vocab,
-                                     "coupled_bce", epochs=1, lr=1e-3,
-                                     batch_size=2)
-        assert [r["seed"] for r in rows] == [0, 1]
-        accs = [r["test_acc"] for r in rows]
-        # summary recomputed independently
-        assert summary["mean"] == pytest.approx(sum(accs) / 2)
-        assert summary["std"] == pytest.approx(
-            float(np.sqrt(sum((a - summary["mean"]) ** 2 for a in accs) / 2))
-        )
-        assert summary["variant"] == "coupled_bce"
+class TestRunSplit:
+    @pytest.fixture()
+    def ckpt(self, setup, tmp_path):
+        _, cfg, _, _ = setup
+        path = str(tmp_path / "m.nsp")
+        EncoderModel(cfg, seed=0).save_checkpoint(path)
+        return path
 
-    def test_unknown_variant(self, setup, tmp_path):
+    def test_rows_and_summary(self, setup, ckpt):
         vocab, cfg, task, split = setup
-        ckpt = tmp_path / "m.nsp"
-        EncoderModel(cfg, seed=0).save_checkpoint(ckpt)
+        splits = [split, KShotSplit(split.train, split.dev, split.test, seed=1)]
+        tuning = TuningConfig(epochs=1, lr=1e-3, batch_size=2)
+        runs = [run_split(ckpt, s, task, vocab, tuning) for s in splits]
+        assert [r.row()["seed"] for r in runs] == [0, 1]
+        assert all(r.row()["variant"] == "coupled_bce" for r in runs)
+        accs = [r.test_acc for r in runs]
+        # summary recomputed independently
+        mean, std = mean_std(accs)
+        assert mean == pytest.approx(sum(accs) / 2)
+        assert std == pytest.approx(float(np.sqrt(sum((a - mean) ** 2 for a in accs) / 2)))
+        assert mean_std([0.5, 1.0]) == (0.75, 0.25)  # population, not sample, std
+
+    def test_unknown_variant(self, setup, ckpt):
+        vocab, cfg, task, split = setup
+        tuning = TuningConfig()
+        tuning.variant = "mystery"
         with pytest.raises(ValidationError, match="variant"):
-            run_ablation(ckpt, [split], task, vocab, "fine_tune")
+            run_split(ckpt, split, task, vocab, tuning)
+
+    @pytest.mark.parametrize("variant, train", [("coupled_bce", nsp_tune),
+                                                ("fine_tune", fine_tune_baseline)])
+    def test_matches_direct_training(self, setup, ckpt, variant, train):
+        vocab, cfg, task, split = setup
+        split = KShotSplit(split.train, split.dev, split.test, seed=5)
+        run = run_split(ckpt, split, task, vocab,
+                        TuningConfig(epochs=2, lr=1e-3, batch_size=2, variant=variant, seed=99))
+        res = train(EncoderModel.load_checkpoint(ckpt), split.train, split.dev, task, vocab,
+                    TuningConfig(epochs=2, lr=1e-3, batch_size=2, variant=variant, seed=5))
+        assert run.tuned.history == res.history
+        assert (run.seed, run.epoch) == (5, res.best_epoch)
+        assert run.dev_acc == max(h["dev_acc"] for h in res.history)
+        assert run.test_acc == accuracy(res.predict(split.test, task, vocab), split.test)
+        assert run.split_fingerprint == split.fingerprint()
+
+    def test_untuned_mode_evaluates(self, setup, ckpt):
+        vocab, cfg, task, split = setup
+        run = run_split(ckpt, split, task, vocab, mode="zero_shot_nsp")
+        assert run.tuned is None and run.epoch == -1
+        assert run.test_acc == evaluate(EncoderModel.load_checkpoint(ckpt), vocab,
+                                        split.test, task, "zero_shot_nsp")
