@@ -42,18 +42,12 @@ from .scoring import (
     apply_thresholds,
     emit_probability_histogram,
     pet_score,
-    predict_candidates_contrast,
     samples_contrast,
     score_candidates,
     thresholds_from_dev,
 )
 from .tensor import Adam, Tensor, backward, no_grad
 from .tokenizer import Tokenizer, Vocab, build_vocab, insert_masks
-from .tuning import (
-    TuningConfig,
-    build_instances,
-    fine_tune_baseline,
-    nsp_tune,
-)
+from .tuning import TuningConfig, fine_tune_baseline, nsp_tune
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 import click
 
 from .corpus import SyntheticCorpusConfig, generate_corpus, load_corpus, save_corpus
-from .errors import DivergenceError, NspBertError, ValidationError
+from .errors import DivergenceError, NspBertError, ValidationError, check_keys
 from .harness import (
     ABLATION_FIELDS,
     DEFAULT_SEEDS,
@@ -27,7 +27,7 @@ from .harness import (
     run_experiment,
     run_split,
 )
-from .model import EncoderConfig, EncoderModel
+from .model import EncoderConfig, EncoderModel, checkpoint_config
 from .prompting import TaskConfig
 from .pretrain import pretrain as run_pretrain, vocab_from_documents
 from .scoring import (
@@ -38,6 +38,11 @@ from .scoring import (
 )
 from .tokenizer import Vocab
 from .tuning import VARIANTS, TuningConfig
+
+
+CORPUS_KEYS = [f.name for f in dataclasses.fields(SyntheticCorpusConfig)]
+PRETRAIN_KEYS = ("corpus", "preset", "steps", "batch_size", "lr", "max_len", "mask_rate")
+EXPERIMENT_KEYS = ("task", "data", "checkpoint", "mode", "k", "seeds", *TUNING_KEYS)
 
 
 @click.group()
@@ -54,7 +59,21 @@ def _load_json(path):
     if path is None:
         return {}
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"malformed JSON in {path!r}: {e}") from e
+
+
+def _load_vocab(checkpoint):
+    """The vocab at "<checkpoint>.vocab", refused unless it has the
+    checkpoint's vocab_size."""
+    vocab = Vocab.load(checkpoint + ".vocab")
+    size = checkpoint_config(checkpoint).vocab_size
+    if len(vocab) != size:
+        raise ValidationError(f"{checkpoint}.vocab has {len(vocab)} tokens but "
+                              f"checkpoint {checkpoint!r} has vocab_size {size}")
+    return vocab
 
 
 def _require(ctx, key):
@@ -68,7 +87,7 @@ def _require(ctx, key):
 @click.pass_context
 def gen_corpus(ctx):
     """Generate a synthetic topic corpus as JSONL."""
-    cfg_dict = _load_json(ctx.obj["config"])
+    cfg_dict = check_keys(_load_json(ctx.obj["config"]), CORPUS_KEYS, "corpus config")
     cfg = SyntheticCorpusConfig(**cfg_dict)
     cfg = dataclasses.replace(cfg, seed=ctx.obj["seed"])
     docs = generate_corpus(cfg)
@@ -83,8 +102,9 @@ def gen_corpus(ctx):
 @click.pass_context
 def pretrain_cmd(ctx, corpus_path):
     """Pre-train a model on MLM + NSP and write a checkpoint."""
-    cfg = _load_json(ctx.obj["config"])
-    corpus_cfg = SyntheticCorpusConfig(**cfg.get("corpus", {}))
+    cfg = check_keys(_load_json(ctx.obj["config"]), PRETRAIN_KEYS, "pretrain config")
+    corpus_cfg = SyntheticCorpusConfig(**check_keys(cfg.get("corpus", {}), CORPUS_KEYS,
+                                                    "corpus config"))
     if corpus_path:
         docs = load_corpus(corpus_path)
     else:
@@ -125,7 +145,8 @@ def eval_zeroshot(ctx, data, mode):
 
     task = TaskConfig.load(_require(ctx, "config"))
     checkpoint = _require(ctx, "checkpoint")
-    model, vocab = EncoderModel.load_checkpoint(checkpoint), Vocab.load(checkpoint + ".vocab")
+    vocab = _load_vocab(checkpoint)
+    model = EncoderModel.load_checkpoint(checkpoint)
     examples = load_jsonl(data, task)
     dev = None
     if mode in ("samples_contrast", "thresholds"):
@@ -162,7 +183,7 @@ def _tune(ctx, data, variant):
     """Tune on the K-shot split of --seed; save the tuned model to --out."""
     task = TaskConfig.load(_require(ctx, "config"))
     checkpoint = _require(ctx, "checkpoint")
-    vocab = Vocab.load(checkpoint + ".vocab")
+    vocab = _load_vocab(checkpoint)
     split = kshot_split(load_jsonl(data, task), task.k_shot, ctx.obj["seed"])
     run = run_split(checkpoint, split, task, vocab, TuningConfig(variant=variant))
     out = _require(ctx, "out")
@@ -196,7 +217,7 @@ def ablate(ctx, data):
     """Run all tuning variants over the default seed suite; emit a CSV."""
     task = TaskConfig.load(_require(ctx, "config"))
     checkpoint = _require(ctx, "checkpoint")
-    vocab = Vocab.load(checkpoint + ".vocab")
+    vocab = _load_vocab(checkpoint)
     examples = load_jsonl(data, task)
     splits = [kshot_split(examples, task.k_shot, s) for s in DEFAULT_SEEDS]
     out = _require(ctx, "out")
@@ -216,11 +237,12 @@ def ablate(ctx, data):
 @click.pass_context
 def report(ctx):
     """Run a multi-seed experiment from a config file; emit CSV + JSON."""
-    cfg = _load_json(_require(ctx, "config"))
+    cfg = check_keys(_load_json(_require(ctx, "config")), EXPERIMENT_KEYS,
+                     "experiment config")
     task = TaskConfig.load(cfg["task"])
     examples = load_jsonl(cfg["data"], task)
     checkpoint = cfg.get("checkpoint") or _require(ctx, "checkpoint")
-    vocab = Vocab.load(checkpoint + ".vocab")
+    vocab = _load_vocab(checkpoint)
     exp = ExperimentConfig(
         mode=cfg["mode"], checkpoint=checkpoint, task=task, data=examples,
         k=cfg.get("k", task.k_shot), seeds=tuple(cfg.get("seeds", DEFAULT_SEEDS)),

@@ -56,9 +56,6 @@ class Document:
     topic: int
     sentences: list
 
-    def text(self):
-        return " ".join(self.sentences)
-
 
 @dataclass
 class NspPairExample:

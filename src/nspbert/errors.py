@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the config-key check, shared across the package."""
 
 
 class NspBertError(Exception):
@@ -31,3 +31,13 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """A stored tensor's shape disagrees with the model config."""
+
+
+def check_keys(config, allowed, what):
+    """`config` if it is a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(config, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = sorted(set(config) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown {what} key {unknown[0]!r}")
+    return config

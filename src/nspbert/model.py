@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class EncoderConfig:
     type_vocab: int = 2
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
         if self.hidden % self.n_heads != 0:
             raise ValidationError(
                 f"hidden size {self.hidden} not divisible by {self.n_heads} heads"
@@ -75,6 +78,60 @@ def _trunc_normal(rng, shape, std=0.02):
         vals[bad] = rng.standard_normal(bad.sum()) * std
         bad = np.abs(vals) > 2 * std
     return vals.astype(np.float32)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_header(f, path):
+    """(header, EncoderConfig) of an open checkpoint, read up to its tensor
+    data and checked against the header schema."""
+    magic = f.read(8)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic bytes in {path!r}: {magic!r}")
+    raw_len = f.read(4)
+    if len(raw_len) < 4:
+        raise CheckpointTruncatedError(f"{path!r} ends inside the header length")
+    (hlen,) = struct.unpack("<I", raw_len)
+    blob = f.read(hlen)
+    if len(blob) < hlen:
+        raise CheckpointTruncatedError(f"{path!r} ends inside the JSON header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointFormatError(f"unreadable header in {path!r}: {e}") from e
+
+    def check(ok, what):
+        if not ok:
+            raise CheckpointFormatError(f"bad header in {path!r}: {what}")
+
+    check(isinstance(header, dict), "not a JSON object")
+    config, tensors = header.get("config"), header.get("tensors")
+    names = sorted(field.name for field in fields(EncoderConfig))
+    check(isinstance(config, dict) and sorted(config) == names
+          and all(_is_int(v) for v in config.values()),
+          f"config must hold exactly the integer fields {names}")
+    check(_is_int(header.get("step", 0)), "step must be an integer")
+    check(_is_int(header.get("seed", 0)) and header.get("seed", 0) >= 0,
+          "seed must be a non-negative integer")
+    check(isinstance(tensors, dict), "tensors must be a JSON object")
+    for name, entry in tensors.items():
+        check(isinstance(entry, dict) and isinstance(entry.get("shape"), list)
+              and all(_is_int(d) for d in entry["shape"])
+              and _is_int(entry.get("offset")) and entry["offset"] >= 0,
+              f"tensor {name!r} needs an integer shape list and a non-negative "
+              "integer offset")
+    try:
+        return header, EncoderConfig(**config)
+    except ValidationError as e:
+        raise CheckpointFormatError(f"bad config in {path!r}: {e}") from e
+
+
+def checkpoint_config(path):
+    """The EncoderConfig in a checkpoint's header, without its tensors."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)[1]
 
 
 class EncoderModel:
@@ -127,13 +184,6 @@ class EncoderModel:
         self.params = p
 
     # ------------------------------------------------------------------
-    def parameters(self):
-        return self.params
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def _stack(self, pairs):
         ids = np.stack([p.ids for p in pairs])
         segs = np.stack([p.segment_ids for p in pairs])
@@ -218,17 +268,6 @@ class EncoderModel:
         t = T.layer_norm(t, p["mlm.ln.gain"], p["mlm.ln.bias"])
         return T.add(T.matmul(t, T.transpose(p["embeddings.word"], (1, 0))), p["mlm.bias"])
 
-    def mlm_mask_probs(self, pair):
-        """(n_masks, vocab) probabilities at all recorded mask positions."""
-        if not pair.mask_positions:
-            raise ValidationError("pair has no recorded mask positions")
-        with T.no_grad():
-            hidden = self.forward_batch([pair])
-            pos = np.array(pair.mask_positions)
-            logits = self.mlm_logits(hidden, np.zeros(len(pos), dtype=np.int64), pos)
-            probs = T.softmax_rows(logits)
-        return probs.data.copy()
-
     # ------------------------------------------------------------------
     def save_checkpoint(self, path):
         names = sorted(self.params)
@@ -255,22 +294,8 @@ class EncoderModel:
     @classmethod
     def load_checkpoint(cls, path):
         with open(path, "rb") as f:
-            magic = f.read(8)
-            if magic != CHECKPOINT_MAGIC:
-                raise CheckpointFormatError(f"bad magic bytes in {path!r}: {magic!r}")
-            raw_len = f.read(4)
-            if len(raw_len) < 4:
-                raise CheckpointTruncatedError(f"{path!r} ends inside the header length")
-            (hlen,) = struct.unpack("<I", raw_len)
-            blob = f.read(hlen)
-            if len(blob) < hlen:
-                raise CheckpointTruncatedError(f"{path!r} ends inside the JSON header")
-            try:
-                header = json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                raise CheckpointFormatError(f"unreadable header in {path!r}: {e}") from e
+            header, config = _read_header(f, path)
             data = f.read()
-        config = EncoderConfig(**header["config"])
         model = cls(config, seed=header.get("seed", 0))
         model.step = header.get("step", 0)
         for name in sorted(model.params):

@@ -52,7 +52,7 @@ def pretrain(model, documents, vocab, steps, batch_size=16, lr=1e-3, seed=0,
         raise ValidationError("corpus too small for NSP pair sampling")
     tok = Tokenizer(vocab)
     rng = np.random.default_rng(seed)
-    opt = T.Adam(model.parameters(), lr=lr)
+    opt = T.Adam(model.params, lr=lr)
     trace = []
     for step in range(steps):
         pairs = [sample_nsp_pair(documents, rng) for _ in range(batch_size)]
@@ -89,33 +89,3 @@ def nsp_accuracy(model, vocab, pairs, max_len=28, batch_size=64):
     pred = run_head(model, encoded, nsp_head, batch_size).argmax(axis=1)
     gold = np.array([ISNEXT if p.label == ISNEXT_LABEL else NOTNEXT for p in pairs])
     return int((pred == gold).sum()) / len(pairs)
-
-
-def mlm_perplexity(model, vocab, documents, n_sentences=100, max_len=28,
-                   mask_rate=0.15, seed=0):
-    """Held-out masked-token perplexity (base e)."""
-    tok = Tokenizer(vocab)
-    rng = np.random.default_rng(seed)
-    sentences = [s for d in documents for s in d.sentences][:n_sentences]
-    total_nll, total_count = 0.0, 0
-    for sent in sentences:
-        enc = tok.encode_single(sent, max_len)
-        ids = enc.ids.copy()
-        masked, positions, targets = mask_tokens(
-            ids, mask_rate, rng, vocab.mask_id, vocab.special_ids, len(vocab)
-        )
-        if not positions:
-            continue
-        enc.ids = masked
-        with T.no_grad():
-            hidden = model.forward_batch([enc])
-            logits = model.mlm_logits(
-                hidden, np.zeros(len(positions), dtype=np.int64), np.array(positions)
-            )
-            probs = T.softmax_rows(logits)
-        for row, target in zip(probs.data, targets):
-            total_nll += -np.log(max(float(row[target]), 1e-12))
-            total_count += 1
-    if total_count == 0:
-        raise ValidationError("no maskable positions found for perplexity")
-    return float(np.exp(total_nll / total_count))

@@ -9,11 +9,11 @@ pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 from .tokenizer import EncodedPair, insert_masks
 
 PREFIX, SUFFIX = "prefix", "suffix"
@@ -166,10 +166,14 @@ class TaskConfig:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, [f.name for f in fields(cls)], "task config")
         template = None
         if "template" in d:
+            check_keys(d["template"], ("pattern", "position"), "template")
             template = PromptTemplate(d["template"]["pattern"],
                                       d["template"].get("position", SUFFIX))
+        if "mapping" in d:
+            check_keys(d["mapping"], ("strategy", "order", "batch_size"), "mapping")
         verbalizer = Verbalizer(d["verbalizer"]) if "verbalizer" in d else None
         return cls(
             task_type=d["task_type"],

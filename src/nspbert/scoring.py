@@ -80,14 +80,6 @@ def score_candidates(model, vocab, x, task, sample_id=0, gold=None):
     return ScoredSample(sample_id, [float(p) for p in probs], gold=gold)
 
 
-def predict_candidates_contrast(sample):
-    """Argmax over candidate IsNext probabilities; ties -> lowest index."""
-    qs = sample.q if isinstance(sample.q, (list, tuple)) else [sample.q]
-    if len(qs) == 0:
-        raise ValidationError("empty candidate set")
-    return int(np.argmax(qs))
-
-
 # ---------------------------------------------------------------------------
 # Samples-contrast
 
@@ -192,9 +184,10 @@ def apply_thresholds(thresholds, q):
 
 def pet_score(model, vocab, x, task):
     """Per-label probabilities: softmax over labels of the product of each
-    target token's probability at its mask position."""
+    target token's probability at its mask position.  The |Y| cloze inputs
+    share one forward pass."""
     tok = Tokenizer(vocab)
-    products = []
+    inputs, targets = [], []
     for j, label in enumerate(task.labels):
         try:
             masked, target_ids = render_pet(
@@ -202,13 +195,27 @@ def pet_score(model, vocab, x, task):
             )
         except ValidationError as e:
             raise ValidationError(f"label {j} ({label!r}): {e}") from e
-        probs = model.mlm_mask_probs(masked)
-        product = 1.0
-        for row, tid in zip(probs, target_ids):
-            product *= float(row[tid])
-        products.append(product)
-    out = T.softmax_rows(T.Tensor(np.array(products, dtype=np.float32)))
+        inputs.append(masked)
+        targets.append(target_ids)
+    products = run_head(model, inputs, _mask_product_head(inputs, targets), len(inputs))
+    out = T.softmax_rows(T.Tensor(products.astype(np.float32)))
     return out.data.astype(float)
+
+
+def _mask_product_head(inputs, targets):
+    """Per input, the product of its target ids' MLM probabilities at its
+    mask positions, taken in position order."""
+    rows = [(b, pos, tid) for b, (enc, tids) in enumerate(zip(inputs, targets))
+            for pos, tid in zip(enc.mask_positions, tids)]
+    batch_idx, pos_idx, target_ids = (np.array(col) for col in zip(*rows))
+
+    def head(model, hidden):
+        probs = T.softmax_rows(model.mlm_logits(hidden, batch_idx, pos_idx)).data
+        products = [1.0] * len(inputs)
+        for b, p in zip(batch_idx, probs[np.arange(len(rows)), target_ids]):
+            products[b] *= float(p)
+        return np.array(products)
+    return head
 
 
 # ---------------------------------------------------------------------------

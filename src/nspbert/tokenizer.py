@@ -131,16 +131,6 @@ class Tokenizer:
     def encode(self, text):
         return [self.vocab.index[t] for t in self.tokenize(text)]
 
-    def decode(self, ids):
-        words = []
-        for i in ids:
-            tok = self.vocab.tokens[int(i)]
-            if tok.startswith("##") and words:
-                words[-1] += tok[2:]
-            else:
-                words.append(tok)
-        return " ".join(words)
-
     def encode_pair(self, a, b, max_len):
         """[CLS] A [SEP] B [SEP] + padding. Overflow trims the end of A only."""
         if max_len < 8:

@@ -35,12 +35,6 @@ VARIANTS = (
 
 
 @dataclass
-class NspTuningInstance:
-    pair: object  # EncodedPair
-    target: int  # 1 = gold verbalization, 0 = negative
-
-
-@dataclass
 class TuningConfig:
     epochs: int = 10
     lr: float = 2e-5
@@ -69,15 +63,6 @@ def encode_candidates(text, task, tok):
         except ValidationError as e:
             raise ValidationError(f"candidate {j} ({label!r}): {e}") from e
     return pairs
-
-
-def build_instances(example, task, tokenizer):
-    """One positive + |Y|-1 negative templated instances for a sample."""
-    if example.label not in task.labels:
-        raise ValidationError(f"gold label {example.label!r} not in task labels")
-    pairs = encode_candidates(example.text_a, task, tokenizer)
-    return [NspTuningInstance(pair, int(label == example.label))
-            for label, pair in zip(task.labels, pairs)]
 
 
 def isnext_head(model, hidden):
@@ -248,7 +233,15 @@ def nsp_tune(model, train, dev, task, vocab, cfg):
     tok = Tokenizer(vocab)
     rng = np.random.default_rng(cfg.seed)
     n_labels = len(task.labels)
-    per_parent = [build_instances(ex, task, tok) for ex in train]
+    # Per parent sample: its |Y| candidates, and a 0/1 target row that marks
+    # the gold label's candidate.
+    candidates = []
+    for ex in train:
+        if ex.label not in task.labels:
+            raise ValidationError(f"gold label {ex.label!r} not in task labels")
+        candidates.append(encode_candidates(ex.text_a, task, tok))
+    targets = np.array([[label == ex.label for label in task.labels] for ex in train],
+                       dtype=np.float64).reshape(len(train), n_labels)
 
     extra = {}
     if cfg.variant == "reinit_sigmoid_head":
@@ -263,20 +256,18 @@ def nsp_tune(model, train, dev, task, vocab, cfg):
 
     def epoch_batches():
         if cfg.variant == "decoupled_bce":
-            flat = [inst for group in per_parent for inst in group]
-            rng.shuffle(flat)
+            flat = [p for group in candidates for p in group]
+            order = list(range(len(flat)))
+            rng.shuffle(order)
             size = cfg.batch_size * n_labels
-            for i in range(0, len(flat), size):
-                batch = flat[i : i + size]
-                yield ([inst.pair for inst in batch],
-                       np.array([inst.target for inst in batch], dtype=np.float64))
+            for i in range(0, len(order), size):
+                idx = order[i : i + size]
+                yield [flat[j] for j in idx], targets.reshape(-1)[idx]
         else:
-            order = rng.permutation(len(per_parent))
+            order = rng.permutation(len(candidates))
             for i in range(0, len(order), cfg.batch_size):
-                group = [per_parent[j] for j in order[i : i + cfg.batch_size]]
-                yield ([inst.pair for g in group for inst in g],
-                       np.array([[inst.target for inst in g] for g in group],
-                                dtype=np.float64))
+                idx = order[i : i + cfg.batch_size]
+                yield [p for j in idx for p in candidates[j]], targets[idx]
 
     result = TuneResult(model, cfg.variant, history=[], best_epoch=-1, extra=extra)
     return _train_loop(result, epoch_batches, dev, task, vocab, cfg)

@@ -217,7 +217,6 @@ class TestCriterion1:
             q = T.take_index(model.nsp_probs(hidden), 0, axis=1)
             return T.binary_cross_entropy(q, targets)
 
-        model.zero_grad()
         T.backward(loss_fn())
         # the MLM head takes no part in the NSP loss; skip untouched params
         flat = {name: p.grad.reshape(-1) for name, p in model.params.items()
@@ -466,7 +465,12 @@ class TestCriterion8:
                     masked, targets = render_pet(x, task.template,
                                                  task.verbalizer, label, tok,
                                                  task.max_len)
-                    probs = model.mlm_mask_probs(masked)
+                    with T.no_grad():
+                        logits = model.mlm_logits(
+                            model.forward_batch([masked]),
+                            np.zeros(len(masked.mask_positions), dtype=np.int64),
+                            np.array(masked.mask_positions))
+                        probs = T.softmax_rows(logits).data
                     factors = [float(row[t]) for row, t in zip(probs, targets)]
                     factor_lists.append(factors)
                     products.append(float(np.prod(factors)))

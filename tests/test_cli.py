@@ -3,15 +3,19 @@
 
 import csv
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nspbert.cli import main
 from nspbert.corpus import load_corpus
 from nspbert.harness import DEFAULT_SEEDS
 from nspbert.model import EncoderConfig, EncoderModel
-from nspbert.tokenizer import build_vocab
+from nspbert.tokenizer import Vocab
 from nspbert.tuning import VARIANTS
 
 TINY_CORPUS = {"n_topics": 2, "words_per_topic": 8, "shared_words": 20,
@@ -177,8 +181,6 @@ class TestTuneCommands:
         model.params["nsp.out.w"].data[:] = np.nan
         bad = tmp_path / "bad.nsp"
         model.save_checkpoint(bad)
-        import shutil
-
         shutil.copy(d / "model.nsp.vocab", str(bad) + ".vocab")
         code = run(["--config", task_path, "--checkpoint", str(bad),
                     "--seed", "13", "--out", str(tmp_path / "t.nsp"),
@@ -260,7 +262,15 @@ BAD_INPUTS = {
     "empty-test-nsp_tune": (TASK, "exact", ["nsp-tune"]),
     "empty-test-fine_tune": (TASK, "exact", ["fine-tune"]),
     "report-k-0": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 0}]),
+    "unknown-task-key": ({**TASK, "k_shots": 1}, "data", ["eval-zeroshot"]),
+    "unknown-template-key": ({**TASK, "template": {**TASK["template"], "positon": "prefix"}},
+                             "data", ["eval-zeroshot"]),
+    "unknown-mapping-key": ({**TASK, "mapping": {"batchsize": 4}}, "data", ["eval-zeroshot"]),
+    "report-unknown-key": (TASK, "data", ["report", {"mode": "nsp_tuning", "epoch": 1}]),
 }
+# The key each unknown-key case's error must name.
+UNKNOWN_KEYS = {"unknown-task-key": "k_shots", "unknown-template-key": "positon",
+                "unknown-mapping-key": "batchsize", "report-unknown-key": "epoch"}
 
 
 class TestBadInput:
@@ -277,10 +287,143 @@ class TestBadInput:
         capsys.readouterr()
         code = run(["--config", config, "--checkpoint", str(d / "model.nsp"),
                     "--out", str(tmp_path / "out"), *command])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and err.endswith("\n"), err
-        assert "Traceback" not in err
+        err = assert_one_line_exit_2(code, capsys)
+        if case in UNKNOWN_KEYS:
+            assert f"key {UNKNOWN_KEYS[case]!r}" in err
+
+
+def assert_one_line_exit_2(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    return err
+
+
+# (config, command, text the error must contain) for the commands that read
+# no task config.
+BAD_CONFIGS = {
+    "gen-corpus-unknown-key": ({**TINY_CORPUS, "n_docs": 3}, ["gen-corpus"], "'n_docs'"),
+    "gen-corpus-list": ([TINY_CORPUS], ["gen-corpus"], "JSON object"),
+    "pretrain-unknown-key": ({"corpus": TINY_CORPUS, "stpes": 1, "max_len": 24},
+                             ["pretrain"], "'stpes'"),
+    "pretrain-corpus-unknown-key": ({"corpus": {**TINY_CORPUS, "topics": 3}, "steps": 1,
+                                     "max_len": 24}, ["pretrain"], "'topics'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, case):
+    config, command, message = BAD_CONFIGS[case]
+    capsys.readouterr()
+    code = run(["--config", write_json(tmp_path / "cfg.json", config),
+                "--out", str(tmp_path / "out"), *command])
+    assert message in assert_one_line_exit_2(code, capsys)
+
+
+def test_malformed_json_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"steps": 1,')
+    capsys.readouterr()
+    assert_one_line_exit_2(run(["--config", str(path), "--out", str(tmp_path / "c.jsonl"),
+                                "gen-corpus"]), capsys)
+
+
+@pytest.fixture(scope="module")
+def mismatched(workdir):
+    """The workdir checkpoint beside a vocab with one token more."""
+    d, _ = workdir
+    ckpt = d / "mismatch.nsp"
+    shutil.copy(d / "model.nsp", ckpt)
+    tokens = (d / "model.nsp.vocab").read_text().splitlines() + ["zzextra"]
+    (d / "mismatch.nsp.vocab").write_text("\n".join(tokens) + "\n")
+    return str(ckpt)
+
+
+class TestVocabMismatch:
+    @pytest.mark.parametrize("command", [["eval-zeroshot"], ["nsp-tune"], ["fine-tune"],
+                                         ["ablate"], ["report"]])
+    def test_exits_2(self, workdir, mismatched, tmp_path, capsys, command):
+        d, task_path = workdir
+        data = str(d / "data.jsonl")
+        config, argv = task_path, [*command, "--data", data]
+        if command == ["report"]:
+            config = write_json(tmp_path / "exp.json", {
+                "task": task_path, "data": data, "checkpoint": mismatched,
+                "mode": "zero_shot_nsp", "k": 1, "seeds": [13]})
+            argv = command
+        capsys.readouterr()
+        code = run(["--config", config, "--checkpoint", mismatched,
+                    "--out", str(tmp_path / "out"), *argv])
+        assert "vocab_size" in assert_one_line_exit_2(code, capsys)
+
+
+def rewrite_header(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with edit(header) as its JSON header."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    new = json.dumps(edit(json.loads(blob[12 : 12 + hlen]))).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen :])
+    shutil.copy(str(src) + ".vocab", str(dst) + ".vocab")
+
+
+HEADER_EDITS = {
+    "no-config": lambda h: {k: v for k, v in h.items() if k != "config"},
+    "no-tensors": lambda h: {k: v for k, v in h.items() if k != "tensors"},
+    "unknown-config-field": lambda h: {**h, "config": {**h["config"], "bogus": 1}},
+    "list": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_EDITS))
+def test_bad_checkpoint_header_exits_2(workdir, tmp_path, capsys, case):
+    d, task_path = workdir
+    ckpt = tmp_path / "bad.nsp"
+    rewrite_header(d / "model.nsp", ckpt, HEADER_EDITS[case])
+    capsys.readouterr()
+    code = run(["--config", task_path, "--checkpoint", str(ckpt),
+                "eval-zeroshot", "--data", str(d / "data.jsonl")])
+    assert "bad header" in assert_one_line_exit_2(code, capsys)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(workdir):
+    """A 1-layer, hidden-16 checkpoint on the workdir vocab, and a small dataset."""
+    d, _ = workdir
+    vocab = Vocab.load(d / "model.nsp.vocab")
+    model = EncoderModel(EncoderConfig(n_layers=1, hidden=16, n_heads=2,
+                                       vocab_size=len(vocab), max_position=24), seed=3)
+    fuzz = d / "fuzz"
+    fuzz.mkdir()
+    model.save_checkpoint(fuzz / "small.nsp")
+    vocab.save(fuzz / "mutant.nsp.vocab")
+    lines = (d / "data.jsonl").read_text().splitlines()
+    (fuzz / "data.jsonl").write_text("\n".join(lines[:6] + lines[-6:]) + "\n")
+    return fuzz
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_bytes_fuzz(workdir, fuzz_dir, capsys, data):
+    """A truncated checkpoint, or one with a changed header byte, loads or
+    exits 2 with one line; it never exits 1."""
+    _, task_path = workdir
+    blob = (fuzz_dir / "small.nsp").read_bytes()
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    if data.draw(st.booleans(), label="truncate"):
+        mutant = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+    else:
+        pos = data.draw(st.integers(0, header_end - 1), label="position")
+        mutant = blob[:pos] + bytes([data.draw(st.integers(0, 255), label="byte")]) \
+            + blob[pos + 1 :]
+    (fuzz_dir / "mutant.nsp").write_bytes(mutant)
+    capsys.readouterr()
+    code = run(["--config", task_path, "--checkpoint", str(fuzz_dir / "mutant.nsp"),
+                "eval-zeroshot", "--data", str(fuzz_dir / "data.jsonl")])
+    assert code in (0, 2)
+    if code == 2:
+        assert_one_line_exit_2(code, capsys)
 
 
 class TestExitCodes:

@@ -19,7 +19,6 @@ from nspbert.corpus import (
 from nspbert.errors import DivergenceError, ValidationError
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.pretrain import (
-    mlm_perplexity,
     nsp_accuracy,
     pretrain,
     vocab_from_documents,
@@ -268,9 +267,3 @@ class TestPretrainLoop:
         pairs = sample_nsp_pairs(docs, 40, seed=9)
         acc = nsp_accuracy(model, vocab, pairs)
         assert 0.0 <= acc <= 1.0
-
-    def test_mlm_perplexity_positive(self, setup):
-        docs, vocab, cfg = setup
-        model = EncoderModel(cfg, seed=0)
-        ppl = mlm_perplexity(model, vocab, docs, n_sentences=20)
-        assert np.isfinite(ppl) and ppl > 1.0

@@ -1,5 +1,9 @@
 """Encoder forward invariants, heads, presets and checkpoint persistence."""
 
+import copy
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -83,14 +87,13 @@ class TestMlmHead:
 
         pair = tok.encode_pair("alpha beta gamma", "delta", 16)
         masked = insert_masks(pair, 1, 1, tok.vocab.mask_id, tok.vocab.special_ids)
-        probs = tiny_model.mlm_mask_probs(masked)
+        with T.no_grad():
+            logits = tiny_model.mlm_logits(tiny_model.forward_batch([masked]),
+                                           [0], masked.mask_positions)
+            probs = T.softmax_rows(logits).data
+        assert probs.shape == (1, len(tok.vocab))
         assert abs(probs.sum() - 1.0) < 1e-6
         assert np.all(probs > 0)  # softmax positivity
-
-    def test_requires_recorded_position(self, tiny_model, tok):
-        pair = tok.encode_pair("alpha beta", "gamma", 16)
-        with pytest.raises(ValidationError, match="no recorded mask positions"):
-            tiny_model.mlm_mask_probs(pair)
 
 
 class TestPresets:
@@ -107,6 +110,37 @@ class TestPresets:
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ValidationError):
             EncoderConfig(n_layers=1, hidden=10, n_heads=3, vocab_size=10)
+
+
+DROP = object()
+
+
+def read_header(path):
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12 : 12 + hlen].decode())
+
+
+def write_header(path, header):
+    """Replace a checkpoint's JSON header, keeping its tensor data."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    new = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen :])
+
+
+def edited(header, keys, value):
+    """A copy of `header` with the entry at the key path set to `value`, or
+    deleted when `value` is DROP."""
+    header = copy.deepcopy(header)
+    node = header
+    for key in keys[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return header
 
 
 class TestCheckpoint:
@@ -139,20 +173,37 @@ class TestCheckpoint:
             EncoderModel.load_checkpoint(path)
 
     def test_shape_mismatch_names_tensor(self, tiny_model, tmp_path):
-        import json
-        import struct
-
         path = tmp_path / "m.nsp"
         tiny_model.save_checkpoint(path)
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + hlen].decode())
+        header = read_header(path)
         header["tensors"]["nsp.pool.w"]["shape"] = [1, 1]
-        new_header = json.dumps(header).encode()
-        path.write_bytes(
-            blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + hlen :]
-        )
+        write_header(path, header)
         with pytest.raises(CheckpointShapeError, match="nsp.pool.w"):
+            EncoderModel.load_checkpoint(path)
+
+    @pytest.mark.parametrize("keys,value", [
+        (("config",), DROP),
+        (("tensors",), DROP),
+        (("config", "bogus"), 1),
+        ((), "list"),
+        (("config", "type_vocab"), DROP),
+        (("config", "hidden"), 16.0),
+        (("config", "n_heads"), 0),
+        (("config", "n_heads"), 3),
+        (("seed",), -1),
+        (("step",), "3"),
+        (("tensors", "nsp.out.b", "offset"), -8),
+        (("tensors", "nsp.out.b", "shape"), DROP),
+        (("tensors", "nsp.out.b", "shape"), [2.0]),
+    ], ids=["no-config", "no-tensors", "unknown-field", "list", "missing-field",
+            "float-field", "zero-heads", "indivisible-heads", "negative-seed",
+            "string-step", "negative-offset", "no-shape", "float-shape"])
+    def test_bad_header_schema(self, tiny_model, tmp_path, keys, value):
+        path = tmp_path / "m.nsp"
+        tiny_model.save_checkpoint(path)
+        header = read_header(path)
+        write_header(path, [header] if value == "list" else edited(header, keys, value))
+        with pytest.raises(CheckpointFormatError, match=str(path)):
             EncoderModel.load_checkpoint(path)
 
     def test_step_and_seed_recorded(self, tok, tmp_path):
@@ -181,7 +232,6 @@ class TestEncoderGradients:
             hidden = model.forward_batch([pair])
             return T.cross_entropy(model.nsp_logits(hidden), np.array([0]))
 
-        model.zero_grad()
         T.backward(loss_fn())
         rng = np.random.default_rng(0)
         names = ["embeddings.word", "layer0.attn.wq", "layer0.ffn.w1",

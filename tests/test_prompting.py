@@ -91,9 +91,8 @@ class TestRenderPet:
         pos = enc.mask_positions[0]
         assert enc.ids[pos] == tok.vocab.mask_id
         # context around the mask survives
-        decoded = tok.decode([i for i in enc.ids
-                              if i not in tok.vocab.special_ids])
-        assert decoded == "the game was good this is news"
+        context = [i for i in enc.ids if i not in tok.vocab.special_ids]
+        assert context == tok.encode("the game was good this is news")
 
     def test_multi_token_verbalization_gets_multiple_masks(self, tok):
         verb = Verbalizer({"tech": "tech nology"})

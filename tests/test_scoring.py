@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspbert.errors import ValidationError
+from nspbert.harness import Example
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
 from nspbert.scoring import (
@@ -21,13 +22,13 @@ from nspbert.scoring import (
     emit_probability_histogram,
     load_scored_jsonl,
     pet_score,
-    predict_candidates_contrast,
     samples_contrast,
     save_scored_jsonl,
     score_candidates,
     thresholds_from_dev,
 )
 from nspbert.tokenizer import build_vocab
+from nspbert.tuning import predict_candidates_batch
 
 
 class TestScoredSample:
@@ -77,15 +78,23 @@ class TestLabelDistribution:
 
 
 class TestCandidatesContrast:
-    def test_argmax(self):
-        assert predict_candidates_contrast(ScoredSample(0, [0.2, 0.9, 0.5])) == 1
+    TEXTS = ["good game tonight", "bad story here", "this is news", "game story"]
 
-    def test_tie_breaks_to_lowest_index(self):
-        assert predict_candidates_contrast(ScoredSample(0, [0.4, 0.4, 0.1])) == 0
+    def test_argmax(self, small_setup):
+        model, vocab, task = small_setup
+        examples = [Example(i, t, "sports") for i, t in enumerate(self.TEXTS)]
+        preds = predict_candidates_batch(model, vocab, examples, task)
+        assert preds == [task.labels[int(np.argmax(score_candidates(model, vocab, t, task).q))]
+                         for t in self.TEXTS]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            predict_candidates_contrast(ScoredSample(0, []))
+    def test_tie_breaks_to_lowest_index(self, small_setup):
+        model, vocab, task = small_setup
+        tied = EncoderModel(model.config, seed=1)
+        for name in ("nsp.out.w", "nsp.out.b"):
+            tied.params[name].data[:] = 0.0
+        examples = [Example(i, t, "sports") for i, t in enumerate(self.TEXTS)]
+        assert score_candidates(tied, vocab, self.TEXTS[0], task).q == [0.5, 0.5]
+        assert predict_candidates_batch(tied, vocab, examples, task) == [task.labels[0]] * 4
 
 
 class TestApportion:

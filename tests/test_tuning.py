@@ -8,11 +8,11 @@ from nspbert.harness import Example, KShotSplit, evaluate, mean_std, run_split
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
 from nspbert.tokenizer import Tokenizer, build_vocab
+import nspbert.tuning as tuning
 from nspbert.tuning import (
     VARIANTS,
     TuningConfig,
     accuracy,
-    build_instances,
     encode_candidates,
     fine_tune_baseline,
     nsp_tune,
@@ -66,26 +66,44 @@ class TestTuningConfig:
             TuningConfig(variant="mystery")
 
 
-class TestBuildInstances:
-    def test_one_positive_rest_negative(self, setup):
+class TestNspTune:
+    def test_one_positive_rest_negative(self, setup, monkeypatch):
+        """Each parent sample reaches the loss as its encode_candidates pairs
+        with a 0/1 target row marking the gold label's candidate."""
         vocab, cfg, task, split = setup
-        ex = split.train[0]
-        instances = build_instances(ex, task, Tokenizer(vocab))
-        assert len(instances) == len(task.labels)
-        targets = [inst.target for inst in instances]
-        assert sum(targets) == 1
-        assert targets[task.labels.index(ex.label)] == 1
-        own = encode_candidates(ex.text_a, task, Tokenizer(vocab))
-        assert [i.pair.ids.tolist() for i in instances] == [p.ids.tolist() for p in own]
+        tok, n_labels = Tokenizer(vocab), len(task.labels)
+        model = EncoderModel(cfg, seed=0)
+        seen_inputs, seen_targets = [], []
+
+        def forward_batch(pairs):
+            seen_inputs.append(pairs)
+            return EncoderModel.forward_batch(model, pairs)
+
+        def loss(model, extra, hidden, targets):
+            seen_targets.append(targets)
+            return bce(model, extra, hidden, targets)
+
+        bce = tuning._LOSSES["coupled_bce"]
+        monkeypatch.setattr(model, "forward_batch", forward_batch)
+        monkeypatch.setitem(tuning._LOSSES, "coupled_bce", loss)
+        nsp_tune(model, split.train, [], task, vocab,
+                 TuningConfig(epochs=1, batch_size=len(split.train)))
+        (inputs,), (targets,) = seen_inputs, seen_targets
+        assert targets.shape == (len(split.train), n_labels)
+        own = {ex.id: [p.ids.tolist() for p in encode_candidates(ex.text_a, task, tok)]
+               for ex in split.train}
+        for ex in split.train:
+            row = [p.ids.tolist() for p in inputs].index(own[ex.id][0]) // n_labels
+            assert [p.ids.tolist() for p in inputs[row * n_labels:(row + 1) * n_labels]] \
+                == own[ex.id]
+            assert targets[row].tolist() == [float(l == ex.label) for l in task.labels]
 
     def test_unknown_gold_label(self, setup):
         vocab, cfg, task, split = setup
         bad = Example("x", "text", "weather")
         with pytest.raises(ValidationError, match="weather"):
-            build_instances(bad, task, Tokenizer(vocab))
+            nsp_tune(EncoderModel(cfg, seed=0), [bad], [], task, vocab, TuningConfig())
 
-
-class TestNspTune:
     def test_history_and_best_epoch(self, setup):
         vocab, cfg, task, split = setup
         model = EncoderModel(cfg, seed=0)
