@@ -15,11 +15,10 @@ import sys
 import click
 
 from .corpus import SyntheticCorpusConfig, generate_corpus, load_corpus, save_corpus
-from .errors import DivergenceError, NspBertError, ValidationError, check_keys
+from .errors import DivergenceError, NspBertError, ValidationError, from_json, read_json
 from .harness import (
     ABLATION_FIELDS,
     DEFAULT_SEEDS,
-    TUNING_KEYS,
     ExperimentConfig,
     kshot_split,
     load_jsonl,
@@ -29,7 +28,7 @@ from .harness import (
 )
 from .model import EncoderConfig, EncoderModel, checkpoint_config
 from .prompting import TaskConfig
-from .pretrain import pretrain as run_pretrain, vocab_from_documents
+from .pretrain import PretrainConfig, pretrain as run_pretrain, vocab_from_documents
 from .scoring import (
     LabelDistribution,
     emit_probability_histogram,
@@ -40,14 +39,31 @@ from .tokenizer import Vocab
 from .tuning import VARIANTS, TuningConfig
 
 
-CORPUS_KEYS = [f.name for f in dataclasses.fields(SyntheticCorpusConfig)]
-PRETRAIN_KEYS = ("corpus", "preset", "steps", "batch_size", "lr", "max_len", "mask_rate")
-EXPERIMENT_KEYS = ("task", "data", "checkpoint", "mode", "k", "seeds", *TUNING_KEYS)
+@dataclasses.dataclass
+class ReportConfig:
+    """The `report` command's experiment config: one flat JSON object whose
+    tuning options default to `TuningConfig`'s."""
+
+    task: str  # task-config path
+    data: str
+    mode: str  # "nsp_tuning" | "fine_tune" | an eval mode
+    checkpoint: str | None = None  # None: --checkpoint
+    k: int | None = None  # None: the task's k_shot
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    epochs: int = TuningConfig.epochs
+    lr: float = TuningConfig.lr
+    batch_size: int = TuningConfig.batch_size
+    variant: str = TuningConfig.variant
+
+    def __post_init__(self):
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be a nonempty list of integers >= 0, "
+                                  f"got {list(self.seeds)}")
 
 
 @click.group()
 @click.option("--config", type=click.Path(), default=None, help="Config file path.")
-@click.option("--seed", type=int, default=0, help="Random seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="Random seed.")
 @click.option("--checkpoint", type=click.Path(), default=None, help="Model checkpoint.")
 @click.option("--out", type=click.Path(), default=None, help="Output path.")
 @click.pass_context
@@ -56,13 +72,7 @@ def cli(ctx, config, seed, checkpoint, out):
 
 
 def _load_json(path):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed JSON in {path!r}: {e}") from e
+    return {} if path is None else read_json(path, "config")
 
 
 def _load_vocab(checkpoint):
@@ -87,8 +97,7 @@ def _require(ctx, key):
 @click.pass_context
 def gen_corpus(ctx):
     """Generate a synthetic topic corpus as JSONL."""
-    cfg_dict = check_keys(_load_json(ctx.obj["config"]), CORPUS_KEYS, "corpus config")
-    cfg = SyntheticCorpusConfig(**cfg_dict)
+    cfg = from_json(SyntheticCorpusConfig, _load_json(ctx.obj["config"]), "corpus config")
     cfg = dataclasses.replace(cfg, seed=ctx.obj["seed"])
     docs = generate_corpus(cfg)
     out = _require(ctx, "out")
@@ -102,26 +111,17 @@ def gen_corpus(ctx):
 @click.pass_context
 def pretrain_cmd(ctx, corpus_path):
     """Pre-train a model on MLM + NSP and write a checkpoint."""
-    cfg = check_keys(_load_json(ctx.obj["config"]), PRETRAIN_KEYS, "pretrain config")
-    corpus_cfg = SyntheticCorpusConfig(**check_keys(cfg.get("corpus", {}), CORPUS_KEYS,
-                                                    "corpus config"))
+    cfg = from_json(PretrainConfig, _load_json(ctx.obj["config"]), "pretrain config")
     if corpus_path:
         docs = load_corpus(corpus_path)
     else:
-        docs = generate_corpus(dataclasses.replace(corpus_cfg, seed=ctx.obj["seed"]))
+        docs = generate_corpus(dataclasses.replace(cfg.corpus, seed=ctx.obj["seed"]))
     vocab = vocab_from_documents(docs)
-    preset = cfg.get("preset", "micro")
-    model_cfg = EncoderConfig.preset(preset, vocab_size=len(vocab))
-    model = EncoderModel(model_cfg, seed=ctx.obj["seed"])
-    trace = run_pretrain(
-        model, docs, vocab,
-        steps=cfg.get("steps", 2000),
-        batch_size=cfg.get("batch_size", 16),
-        lr=cfg.get("lr", 1e-3),
-        seed=ctx.obj["seed"],
-        max_len=cfg.get("max_len", 28),
-        mask_rate=cfg.get("mask_rate", 0.15),
-    )
+    model = EncoderModel(EncoderConfig.preset(cfg.preset, vocab_size=len(vocab)),
+                         seed=ctx.obj["seed"])
+    trace = run_pretrain(model, docs, vocab, steps=cfg.steps, batch_size=cfg.batch_size,
+                         lr=cfg.lr, seed=ctx.obj["seed"], max_len=cfg.max_len,
+                         mask_rate=cfg.mask_rate)
     out = _require(ctx, "out")
     model.save_checkpoint(out)
     vocab.save(out + ".vocab")
@@ -168,10 +168,12 @@ def map_samples(ctx, scored):
     """Apply samples-contrast mapping to a scored-sample file."""
     task = TaskConfig.load(_require(ctx, "config"))
     samples = load_scored_jsonl(scored)
+    if any(isinstance(s.q, list) for s in samples):
+        raise ValidationError(f"{scored}: samples-contrast needs one probability q per sample")
     dist = LabelDistribution.from_gold([s.gold for s in samples if s.gold is not None],
                                        task.labels)
-    labels = samples_contrast(samples, task.mapping.get("order", "ascending"),
-                              dist, task.mapping.get("batch_size", 16))
+    mapping = task.answer_mapping()
+    labels = samples_contrast(samples, mapping.order, dist, mapping.batch_size)
     out = _require(ctx, "out")
     with open(out, "w", encoding="utf-8") as f:
         for s, label in zip(samples, labels):
@@ -237,16 +239,15 @@ def ablate(ctx, data):
 @click.pass_context
 def report(ctx):
     """Run a multi-seed experiment from a config file; emit CSV + JSON."""
-    cfg = check_keys(_load_json(_require(ctx, "config")), EXPERIMENT_KEYS,
-                     "experiment config")
-    task = TaskConfig.load(cfg["task"])
-    examples = load_jsonl(cfg["data"], task)
-    checkpoint = cfg.get("checkpoint") or _require(ctx, "checkpoint")
+    cfg = from_json(ReportConfig, _load_json(_require(ctx, "config")), "experiment config")
+    task = TaskConfig.load(cfg.task)
+    examples = load_jsonl(cfg.data, task)
+    checkpoint = cfg.checkpoint or _require(ctx, "checkpoint")
     vocab = _load_vocab(checkpoint)
     exp = ExperimentConfig(
-        mode=cfg["mode"], checkpoint=checkpoint, task=task, data=examples,
-        k=cfg.get("k", task.k_shot), seeds=tuple(cfg.get("seeds", DEFAULT_SEEDS)),
-        tuning=TuningConfig(**{key: cfg[key] for key in TUNING_KEYS if key in cfg}),
+        mode=cfg.mode, checkpoint=checkpoint, task=task, data=examples,
+        k=task.k_shot if cfg.k is None else cfg.k, seeds=cfg.seeds,
+        tuning=TuningConfig(cfg.epochs, cfg.lr, cfg.batch_size, cfg.variant),
     )
     rep = run_experiment(exp, vocab)
     out = _require(ctx, "out")
@@ -275,12 +276,15 @@ def main(argv=None):
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as e:
         sys.exit(e.exit_code)
+    except click.BadParameter as e:
+        click.echo(f"error: {e.format_message()}", err=True)
+        sys.exit(2)
     except click.ClickException as e:
         e.show()
         sys.exit(2)
     except click.Abort:
         sys.exit(2)
-    except (ValidationError, FileNotFoundError) as e:
+    except (ValidationError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
     except DivergenceError as e:

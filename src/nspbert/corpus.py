@@ -12,11 +12,11 @@ downstream task construction only; pre-training never reads them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_type, read_jsonl
 
 ISNEXT_LABEL = "IsNext"
 NOTNEXT_LABEL = "NotNext"
@@ -110,16 +110,11 @@ def save_corpus(documents, path):
 
 def load_corpus(path, id_prefix="doc"):
     docs = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                docs.append(Document(f"{id_prefix}-{i}", int(rec["topic"]),
-                                     list(rec["sentences"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValidationError(f"{path}:{i + 1}: malformed document line: {e}") from e
+    for lineno, rec in read_jsonl(path, "document"):
+        where = f"{path}:{lineno}"
+        docs.append(Document(f"{id_prefix}-{lineno - 1}",
+                             check_type(int, rec.get("topic"), f"{where}: topic"),
+                             check_type(list[str], rec.get("sentences"), f"{where}: sentences")))
     return docs
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import ISNEXT_LABEL, generate_corpus, sample_nsp_pairs
-from .errors import ValidationError
+from .errors import ValidationError, check_type, read_jsonl
 from .model import EncoderModel
-from .prompting import PromptTemplate, TaskConfig, Verbalizer
+from .prompting import AnswerMapping, PromptTemplate, TaskConfig, Verbalizer
 from .scoring import (
     LabelDistribution,
     ScoredSample,
@@ -59,37 +59,24 @@ def load_jsonl(path, task):
     """Validated examples from a JSONL file; line numbers become ids when absent."""
     examples = []
     seen_ids = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}:{lineno}: malformed JSON: {e}") from e
-            if "text_a" not in rec or "label" not in rec:
-                raise ValidationError(f"{path}:{lineno}: missing text_a or label")
-            if rec["label"] not in task.labels:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown label {rec['label']!r}"
-                )
-            if task.task_type == "pair" and not rec.get("text_b"):
-                raise ValidationError(f"{path}:{lineno}: pair task requires text_b")
-            ex_id = rec.get("id", lineno)
-            if ex_id in seen_ids:
-                raise ValidationError(f"{path}:{lineno}: duplicate id {ex_id!r}")
-            seen_ids.add(ex_id)
-            examples.append(Example(ex_id, rec["text_a"], rec["label"], rec.get("text_b")))
+    for lineno, rec in read_jsonl(path, "example"):
+        where = f"{path}:{lineno}"
+        if "text_a" not in rec or "label" not in rec:
+            raise ValidationError(f"{where}: missing text_a or label")
+        text_a = check_type(str, rec["text_a"], f"{where}: text_a")
+        text_b = check_type(str | None, rec.get("text_b"), f"{where}: text_b")
+        if rec["label"] not in task.labels:
+            raise ValidationError(f"{where}: unknown label {rec['label']!r}")
+        if task.task_type == "pair" and not text_b:
+            raise ValidationError(f"{where}: pair task requires text_b")
+        ex_id = rec.get("id", lineno)
+        if isinstance(ex_id, (list, dict)):
+            raise ValidationError(f"{where}: id must be a string or number")
+        if ex_id in seen_ids:
+            raise ValidationError(f"{where}: duplicate id {ex_id!r}")
+        seen_ids.add(ex_id)
+        examples.append(Example(ex_id, text_a, rec["label"], text_b))
     return examples
-
-
-def save_jsonl(examples, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            rec = {"id": ex.id, "text_a": ex.text_a, "label": ex.label}
-            if ex.text_b is not None:
-                rec["text_b"] = ex.text_b
-            f.write(json.dumps(rec) + "\n")
 
 
 @dataclass
@@ -163,9 +150,7 @@ def make_synthetic_task(corpus_cfg, task_type, seed, n_documents=250):
             for si, sent in enumerate(doc.sentences):
                 examples.append(Example(f"{doc.doc_id}-s{si}", sent, f"topic{doc.topic}"))
         task = TaskConfig(task_type="single", labels=labels, template=template,
-                          verbalizer=verbalizer,
-                          mapping={"strategy": "candidates_contrast",
-                                   "order": "ascending", "batch_size": 16})
+                          verbalizer=verbalizer)
         return examples, task
     if task_type == "pair":
         pairs = sample_nsp_pairs(docs, 8 * len(docs), seed=seed + 20_000)
@@ -175,8 +160,7 @@ def make_synthetic_task(corpus_cfg, task_type, seed, n_documents=250):
             for i, p in enumerate(pairs)
         ]
         task = TaskConfig(task_type="pair", labels=["NotEntail", "Entail"],
-                          mapping={"strategy": "samples_contrast",
-                                   "order": "ascending", "batch_size": 16})
+                          mapping=dataclasses.asdict(AnswerMapping("samples_contrast")))
         return examples, task
     raise ValidationError(f"unknown synthetic task type {task_type!r}")
 
@@ -219,8 +203,8 @@ def evaluate(model, vocab, test, task, mode, dev=None):
     if mode == "samples_contrast":
         dist = LabelDistribution.from_gold([ex.label for ex in dev], task.labels)
         scored = score_pairs(model, vocab, test, task)
-        preds = samples_contrast(scored, task.mapping.get("order", "ascending"),
-                                 dist, task.mapping.get("batch_size", 16))
+        mapping = task.answer_mapping()
+        preds = samples_contrast(scored, mapping.order, dist, mapping.batch_size)
         return accuracy(preds, test)
     # thresholds
     dev_scored = score_pairs(model, vocab, dev, task)
@@ -234,8 +218,6 @@ def evaluate(model, vocab, test, task, mode, dev=None):
 # Experiments
 
 
-# The TuningConfig fields an experiment config sets; the seed is each split's.
-TUNING_KEYS = ("epochs", "lr", "batch_size", "variant")
 ABLATION_FIELDS = ("variant", "seed", "epoch", "dev_acc", "test_acc")
 
 
@@ -287,14 +269,14 @@ class ExperimentConfig:
     checkpoint: str
     task: TaskConfig
     data: list  # Example pool
-    k: int = 16
+    k: int
     seeds: tuple = DEFAULT_SEEDS
     tuning: TuningConfig = field(default_factory=TuningConfig)  # read by tuning modes
 
     def fingerprint(self):
         payload = {
             "mode": self.mode, "k": self.k, "seeds": list(self.seeds),
-            **{key: getattr(self.tuning, key) for key in TUNING_KEYS},
+            **{key: v for key, v in dataclasses.asdict(self.tuning).items() if key != "seed"},
             "task": self.task.to_dict(), "n_examples": len(self.data),
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]

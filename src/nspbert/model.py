@@ -21,6 +21,7 @@ from .errors import (
     CheckpointTruncatedError,
     DimensionError,
     ValidationError,
+    is_int,
 )
 from .tensor import Tensor
 
@@ -80,10 +81,6 @@ def _trunc_normal(rng, shape, std=0.02):
     return vals.astype(np.float32)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_header(f, path):
     """(header, EncoderConfig) of an open checkpoint, read up to its tensor
     data and checked against the header schema."""
@@ -99,7 +96,7 @@ def _read_header(f, path):
         raise CheckpointTruncatedError(f"{path!r} ends inside the JSON header")
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointFormatError(f"unreadable header in {path!r}: {e}") from e
 
     def check(ok, what):
@@ -110,16 +107,16 @@ def _read_header(f, path):
     config, tensors = header.get("config"), header.get("tensors")
     names = sorted(field.name for field in fields(EncoderConfig))
     check(isinstance(config, dict) and sorted(config) == names
-          and all(_is_int(v) for v in config.values()),
+          and all(is_int(v) for v in config.values()),
           f"config must hold exactly the integer fields {names}")
-    check(_is_int(header.get("step", 0)), "step must be an integer")
-    check(_is_int(header.get("seed", 0)) and header.get("seed", 0) >= 0,
+    check(is_int(header.get("step", 0)), "step must be an integer")
+    check(is_int(header.get("seed", 0)) and header.get("seed", 0) >= 0,
           "seed must be a non-negative integer")
     check(isinstance(tensors, dict), "tensors must be a JSON object")
     for name, entry in tensors.items():
         check(isinstance(entry, dict) and isinstance(entry.get("shape"), list)
-              and all(_is_int(d) for d in entry["shape"])
-              and _is_int(entry.get("offset")) and entry["offset"] >= 0,
+              and all(is_int(d) for d in entry["shape"])
+              and is_int(entry.get("offset")) and entry["offset"] >= 0,
               f"tensor {name!r} needs an integer shape list and a non-negative "
               "integer offset")
     try:

@@ -7,12 +7,14 @@ single-threaded and bit-deterministic given its seed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import tensor as T
-from .corpus import ISNEXT_LABEL, mask_tokens, sample_nsp_pair
+from .corpus import ISNEXT_LABEL, SyntheticCorpusConfig, mask_tokens, sample_nsp_pair
 from .errors import DivergenceError, ValidationError
-from .model import ISNEXT, NOTNEXT
+from .model import ISNEXT, NOTNEXT, PRESETS
 from .tokenizer import Tokenizer, build_vocab
 from .tuning import nsp_head, run_head
 
@@ -45,8 +47,29 @@ def _encode_masked_batch(tok, pairs, max_len, mask_rate, rng):
         np.array(mlm_targets), nsp_targets
 
 
-def pretrain(model, documents, vocab, steps, batch_size=16, lr=1e-3, seed=0,
-             max_len=28, mask_rate=0.15):
+@dataclass
+class PretrainConfig:
+    """The `pretrain` command's config; `corpus` is generated without --corpus."""
+
+    corpus: SyntheticCorpusConfig = field(default_factory=SyntheticCorpusConfig)
+    preset: str = "micro"
+    steps: int = 2000
+    batch_size: int = 16
+    lr: float = 1e-3
+    max_len: int = 28
+    mask_rate: float = 0.15
+
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ValidationError(f"unknown preset {self.preset!r}; choose from {list(PRESETS)}")
+        if self.steps < 1 or self.batch_size < 1:
+            raise ValidationError(f"steps and batch_size must be >= 1, got {self.steps} "
+                                  f"and {self.batch_size}")
+
+
+def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_size,
+             lr=PretrainConfig.lr, seed=0, max_len=PretrainConfig.max_len,
+             mask_rate=PretrainConfig.mask_rate):
     """Train in place; returns a per-step trace of (total, mlm, nsp) losses."""
     if any(len(d.sentences) < 2 for d in documents) or len(documents) < 2:
         raise ValidationError("corpus too small for NSP pair sampling")

@@ -8,12 +8,11 @@ pure.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_keys
+from .errors import ValidationError, from_json, read_json
 from .tokenizer import EncodedPair, insert_masks
 
 PREFIX, SUFFIX = "prefix", "suffix"
@@ -23,7 +22,7 @@ PREFIX, SUFFIX = "prefix", "suffix"
 class Verbalizer:
     """Injective label -> phrase mapping; phrases may be arbitrarily long."""
 
-    mapping: dict
+    mapping: dict[str, str]
 
     def __post_init__(self):
         if any(not phrase for phrase in self.mapping.values()):
@@ -47,6 +46,11 @@ class PromptTemplate:
             raise ValidationError("template pattern must contain {label} exactly once")
         if "{text}" in self.pattern:
             raise ValidationError("template pattern must not contain {text}")
+        try:
+            self.pattern.format(label="")
+        except (AttributeError, IndexError, KeyError, ValueError) as e:
+            raise ValidationError(f"template pattern {self.pattern!r} does not format: "
+                                  f"{e!r}") from e
         if self.position not in (PREFIX, SUFFIX):
             raise ValidationError(f"position must be prefix or suffix, got {self.position!r}")
 
@@ -114,16 +118,24 @@ MODE_TASK_TYPE = {
 
 
 @dataclass
+class AnswerMapping:
+    """A task's `mapping` options, which samples-contrast reads.  `strategy`
+    is only recorded: the eval mode picks the mapping."""
+
+    strategy: str = "candidates_contrast"
+    order: str = "ascending"
+    batch_size: int = 16
+
+
+@dataclass
 class TaskConfig:
     """Task description: shape, labels, template, verbalizer, mapping options."""
 
     task_type: str  # single | pair
-    labels: list
+    labels: list[str]
     template: PromptTemplate | None = None
     verbalizer: Verbalizer | None = None
-    mapping: dict = field(default_factory=lambda: {"strategy": "candidates_contrast",
-                                                   "order": "ascending",
-                                                   "batch_size": 16})
+    mapping: dict = field(default_factory=lambda: asdict(AnswerMapping()))
     max_len: int = 48
     k_shot: int = 16
 
@@ -142,6 +154,11 @@ class TaskConfig:
             raise ValidationError(f"task labels must be unique: {self.labels}")
         if self.k_shot < 1:
             raise ValidationError(f"k_shot must be >= 1, got {self.k_shot}")
+        self.answer_mapping()
+
+    def answer_mapping(self):
+        """The `mapping` options, with defaults for the keys it leaves out."""
+        return from_json(AnswerMapping, self.mapping, "mapping")
 
     def check_mode(self, mode):
         """Reject a mode that cannot run on this task type."""
@@ -151,45 +168,16 @@ class TaskConfig:
                 f"mode {mode!r} needs a {need!r} task, not task_type {self.task_type!r}")
 
     def to_dict(self):
-        d = {"task_type": self.task_type, "labels": self.labels,
-             "mapping": self.mapping, "max_len": self.max_len, "k_shot": self.k_shot}
-        if self.template is not None:
-            d["template"] = {"pattern": self.template.pattern,
-                             "position": self.template.position}
+        """The JSON form that `load` reads."""
+        d = {key: value for key, value in asdict(self).items() if value is not None}
         if self.verbalizer is not None:
             d["verbalizer"] = self.verbalizer.mapping
         return d
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def from_dict(cls, d):
-        check_keys(d, [f.name for f in fields(cls)], "task config")
-        template = None
-        if "template" in d:
-            check_keys(d["template"], ("pattern", "position"), "template")
-            template = PromptTemplate(d["template"]["pattern"],
-                                      d["template"].get("position", SUFFIX))
-        if "mapping" in d:
-            check_keys(d["mapping"], ("strategy", "order", "batch_size"), "mapping")
-        verbalizer = Verbalizer(d["verbalizer"]) if "verbalizer" in d else None
-        return cls(
-            task_type=d["task_type"],
-            labels=list(d["labels"]),
-            template=template,
-            verbalizer=verbalizer,
-            mapping=d.get("mapping", {"strategy": "candidates_contrast",
-                                      "order": "ascending", "batch_size": 16}),
-            max_len=d.get("max_len", 48),
-            k_shot=d.get("k_shot", 16),
-        )
-
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            try:
-                return cls.from_dict(json.load(f))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValidationError(f"malformed task config {path!r}: {e}") from e
+        d = read_json(path, "task config")
+        # The JSON form of a verbalizer is its label -> phrase object.
+        if isinstance(d, dict) and d.get("verbalizer") is not None:
+            d = {**d, "verbalizer": {"mapping": d["verbalizer"]}}
+        return from_json(cls, d, "task config")

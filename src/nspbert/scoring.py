@@ -11,13 +11,12 @@ are dev-set quantile cuts applied sample by sample.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ValidationError
+from .errors import ValidationError, check_type, read_jsonl
 from .prompting import render_pet
 from .tokenizer import Tokenizer
 from .tuning import encode_candidates, isnext_head, run_head
@@ -235,24 +234,13 @@ def emit_probability_histogram(qs, bins, path):
     return counts, edges
 
 
-def save_scored_jsonl(samples, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            rec = {"id": s.sample_id, "q": s.q}
-            if s.gold is not None:
-                rec["gold"] = s.gold
-            f.write(json.dumps(rec) + "\n")
-
-
 def load_scored_jsonl(path):
     out = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(ScoredSample(rec["id"], rec["q"], rec.get("gold")))
-            except (json.JSONDecodeError, KeyError) as e:
-                raise ValidationError(f"{path}:{i + 1}: malformed scored sample: {e}") from e
+    for lineno, rec in read_jsonl(path, "scored sample"):
+        where, q = f"{path}:{lineno}", rec.get("q")
+        if "id" not in rec:
+            raise ValidationError(f"{where}: a scored sample needs an id")
+        out.append(ScoredSample(
+            rec["id"], check_type(list[float] if isinstance(q, list) else float, q, f"{where}: q"),
+            check_type(str | None, rec.get("gold"), f"{where}: gold")))
     return out

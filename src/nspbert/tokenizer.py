@@ -59,7 +59,11 @@ class Vocab:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.strip()])
+            try:
+                tokens = [line.rstrip("\n") for line in f if line.strip()]
+            except UnicodeDecodeError as e:
+                raise ValidationError(f"vocab {path} is not UTF-8 text: {e}") from e
+        return cls(tokens)
 
 
 def build_vocab(corpus, max_size=8192, min_freq=1):

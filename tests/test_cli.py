@@ -267,6 +267,23 @@ BAD_INPUTS = {
                              "data", ["eval-zeroshot"]),
     "unknown-mapping-key": ({**TASK, "mapping": {"batchsize": 4}}, "data", ["eval-zeroshot"]),
     "report-unknown-key": (TASK, "data", ["report", {"mode": "nsp_tuning", "epoch": 1}]),
+    "k_shot-bool": ({**TASK, "k_shot": True}, "data", ["eval-zeroshot"]),
+    "mapping-batch_size-string": ({**TASK, "mapping": {"batch_size": "16"}}, "data",
+                                  ["eval-zeroshot"]),
+    "template-pattern-number": ({**TASK, "template": {"pattern": 5}}, "data", ["eval-zeroshot"]),
+    "template-other-field": ({**TASK, "template": {"pattern": "{label} {x}"}}, "data",
+                             ["eval-zeroshot"]),
+    "verbalizer-list": ({**TASK, "verbalizer": ["t0w00", "t1w00"]}, "data", ["eval-zeroshot"]),
+    "report-no-mode": (TASK, "data", ["report", {"k": 1}]),
+    "report-task-list": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "task": ["t"]}]),
+    "report-k-bool": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "k": True}]),
+    "report-lr-string": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 1, "seeds": [13],
+                                                   "epochs": 1, "lr": "0.1"}]),
+    "report-seed-negative": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "k": 1,
+                                                       "seeds": [-1]}]),
+    "report-seed-float": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "k": 1,
+                                                    "seeds": [1.5]}]),
+    "report-no-seeds": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "k": 1, "seeds": []}]),
 }
 # The key each unknown-key case's error must name.
 UNKNOWN_KEYS = {"unknown-task-key": "k_shots", "unknown-template-key": "positon",
@@ -309,6 +326,22 @@ BAD_CONFIGS = {
                              ["pretrain"], "'stpes'"),
     "pretrain-corpus-unknown-key": ({"corpus": {**TINY_CORPUS, "topics": 3}, "steps": 1,
                                      "max_len": 24}, ["pretrain"], "'topics'"),
+    "gen-corpus-string-int": ({"n_topics": "4"}, ["gen-corpus"],
+                              "'n_topics' must be an integer, not a string"),
+    "gen-corpus-bool-float": ({"concentration": True}, ["gen-corpus"],
+                              "'concentration' must be a number, not a boolean"),
+    "pretrain-string-steps": ({"corpus": TINY_CORPUS, "steps": "3", "max_len": 24}, ["pretrain"],
+                              "'steps' must be an integer, not a string"),
+    "pretrain-corpus-string-int": ({"corpus": {**TINY_CORPUS, "n_documents": "14"}, "steps": 1},
+                                   ["pretrain"], "'n_documents' must be an integer"),
+    "pretrain-unknown-preset": ({"corpus": TINY_CORPUS, "steps": 1, "preset": "huge"},
+                                ["pretrain"], "'huge'"),
+    "pretrain-zero-steps": ({"corpus": TINY_CORPUS, "steps": 0}, ["pretrain"], "steps"),
+    "pretrain-zero-batch": ({"corpus": TINY_CORPUS, "steps": 1, "batch_size": 0}, ["pretrain"],
+                            "batch_size"),
+    "seed-negative": (TINY_CORPUS, ["--seed", "-1", "gen-corpus"], "--seed"),
+    "out-directory": (TINY_CORPUS, ["--out", ".", "gen-corpus"], "directory"),
+    "config-directory": (TINY_CORPUS, ["--config", ".", "gen-corpus"], "directory"),
 }
 
 
@@ -319,6 +352,54 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, case):
     code = run(["--config", write_json(tmp_path / "cfg.json", config),
                 "--out", str(tmp_path / "out"), *command])
     assert message in assert_one_line_exit_2(code, capsys)
+
+
+# (file name, file bytes, command) triples: the test copies the workdir
+# checkpoint and vocab to {tmp}/model.nsp(.vocab), then writes the bytes to
+# {tmp}/<file name>.  {d} is the workdir and {task} its task config.
+EVAL = ["--config", "{task}", "--checkpoint", "{tmp}/model.nsp", "eval-zeroshot", "--data"]
+PRETRAIN = ["--out", "{tmp}/out.nsp", "pretrain", "--corpus", "{tmp}/corpus.jsonl"]
+HISTOGRAM = ["--out", "{tmp}/hist.csv", "histogram", "--scored", "{tmp}/scored.jsonl"]
+BAD_FILES = {
+    "data-not-utf8": ("data.jsonl", b'{"text_a": "caf\xe9", "label": "topic0"}\n',
+                      [*EVAL, "{tmp}/data.jsonl"]),
+    "data-number-line": ("data.jsonl", b"5\n", [*EVAL, "{tmp}/data.jsonl"]),
+    "data-text_a-number": ("data.jsonl", b'{"text_a": 5, "label": "topic0"}\n',
+                           [*EVAL, "{tmp}/data.jsonl"]),
+    "data-id-list": ("data.jsonl", b'{"id": [1], "text_a": "x", "label": "topic0"}\n',
+                     [*EVAL, "{tmp}/data.jsonl"]),
+    "data-nested-too-deep": ("data.jsonl", b"[" * 100_000, [*EVAL, "{tmp}/data.jsonl"]),
+    "data-directory": (None, None, [*EVAL, "{d}"]),
+    "vocab-not-utf8": ("model.nsp.vocab", b"[PAD]\n\xff\n", [*EVAL, "{d}/data.jsonl"]),
+    "task-nested-too-deep": ("task.json", b"[" * 100_000,
+                             ["--config", "{tmp}/task.json", *EVAL[2:], "{d}/data.jsonl"]),
+    "task-not-utf8": ("task.json", b'{"task_type": "\xff"}',
+                      ["--config", "{tmp}/task.json", *EVAL[2:], "{d}/data.jsonl"]),
+    "corpus-not-utf8": ("corpus.jsonl", b'{"topic": 0, "sentences": ["\xff"]}\n', PRETRAIN),
+    "corpus-topic-string": ("corpus.jsonl", b'{"topic": "a", "sentences": ["a b", "c d"]}\n',
+                            PRETRAIN),
+    "scored-not-utf8": ("scored.jsonl", b'{"id": 0, "q": 0.5}\n\xff\n', HISTOGRAM),
+    "scored-q-string": ("scored.jsonl", b'{"id": 0, "q": "0.5"}\n', HISTOGRAM),
+    "scored-q-list": ("scored.jsonl", b'{"id": 0, "q": [0.5, 0.5], "gold": "topic0"}\n',
+                      ["--config", "{task}", "--out", "{tmp}/m.jsonl", "map-samples",
+                       "--scored", "{tmp}/scored.jsonl"]),
+    "scored-gold-list": ("scored.jsonl", b'{"id": 0, "q": 0.5, "gold": ["topic0"]}\n',
+                         ["--config", "{task}", "--out", "{tmp}/m.jsonl", "map-samples",
+                          "--scored", "{tmp}/scored.jsonl"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_bad_file_exits_2_with_one_line(workdir, tmp_path, capsys, case):
+    d, task_path = workdir
+    name, content, command = BAD_FILES[case]
+    shutil.copy(d / "model.nsp", tmp_path / "model.nsp")
+    shutil.copy(d / "model.nsp.vocab", tmp_path / "model.nsp.vocab")
+    if name is not None:
+        (tmp_path / name).write_bytes(content)
+    capsys.readouterr()
+    code = run([arg.format(d=d, tmp=tmp_path, task=task_path) for arg in command])
+    assert_one_line_exit_2(code, capsys)
 
 
 def test_malformed_json_config_exits_2(tmp_path, capsys):
@@ -421,6 +502,72 @@ def test_checkpoint_bytes_fuzz(workdir, fuzz_dir, capsys, data):
     capsys.readouterr()
     code = run(["--config", task_path, "--checkpoint", str(fuzz_dir / "mutant.nsp"),
                 "eval-zeroshot", "--data", str(fuzz_dir / "data.jsonl")])
+    assert code in (0, 2)
+    if code == 2:
+        assert_one_line_exit_2(code, capsys)
+
+
+def json_type(value):
+    for kind, types in [("null", type(None)), ("boolean", bool), ("number", (int, float)),
+                        ("string", str), ("array", list), ("object", dict)]:
+        if isinstance(value, types):
+            return kind
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                | st.text(max_size=4))
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2)
+               | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
+
+
+def value_paths(value, path=()):
+    """The path to `value` and to every value nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from value_paths(inner, (*path, key))
+
+
+def swapped(config, path, value):
+    if not path:
+        return value
+    config = dict(config) if isinstance(config, dict) else list(config)
+    config[path[0]] = swapped(config[path[0]], path[1:], value)
+    return config
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_type_fuzz(workdir, fuzz_dir, tmp_path, capsys, data):
+    """A valid corpus, pretrain, task or report config with one value
+    swapped for a value of another JSON type runs or exits 2 with one line;
+    it never exits 1."""
+    d, task_path = workdir
+    task = {**TASK, "mapping": {"strategy": "candidates_contrast", "order": "ascending",
+                                "batch_size": 16}}
+    commands = {
+        "corpus": ({**TINY_CORPUS, "concentration": 0.5, "seed": 0}, ["gen-corpus"]),
+        "pretrain": ({"corpus": TINY_CORPUS, "preset": "micro", "steps": 1, "batch_size": 2,
+                      "lr": 1e-3, "max_len": 24, "mask_rate": 0.15}, ["pretrain"]),
+        "task": (task, ["eval-zeroshot", "--data", str(fuzz_dir / "data.jsonl")]),
+        "report": ({"task": task_path, "data": str(d / "data.jsonl"),
+                    "checkpoint": str(d / "model.nsp"), "mode": "zero_shot_nsp", "k": 1,
+                    "seeds": [13], "epochs": 1, "lr": 1e-3, "batch_size": 8,
+                    "variant": "coupled_bce"}, ["report"]),
+    }
+    config, command = commands[data.draw(st.sampled_from(list(commands)), label="config")]
+    path = data.draw(st.sampled_from(list(value_paths(config))), label="path")
+    old = config
+    for key in path:
+        old = old[key]
+    value = data.draw(JSON_VALUES.filter(lambda v: json_type(v) != json_type(old)),
+                      label="value")
+    cfg = write_json(tmp_path / "cfg.json", swapped(config, path, value))
+    capsys.readouterr()
+    code = run(["--config", cfg, "--checkpoint", str(d / "model.nsp"),
+                "--out", str(tmp_path / "out"), *command])
     assert code in (0, 2)
     if code == 2:
         assert_one_line_exit_2(code, capsys)

@@ -21,7 +21,6 @@ from nspbert.harness import (
     load_jsonl,
     make_synthetic_task,
     run_experiment,
-    save_jsonl,
     score_pairs,
 )
 from nspbert.model import EncoderConfig, EncoderModel
@@ -72,7 +71,8 @@ class TestLoadJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.jsonl"
         examples = _pair_examples(3)
-        save_jsonl(examples, path)
+        path.write_text("".join(json.dumps({"id": e.id, "text_a": e.text_a, "label": e.label,
+                                            "text_b": e.text_b}) + "\n" for e in examples))
         loaded = load_jsonl(path, self._task())
         assert [(e.id, e.text_a, e.label, e.text_b) for e in loaded] == \
             [(e.id, e.text_a, e.label, e.text_b) for e in examples]

@@ -206,6 +206,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match=str(path)):
             EncoderModel.load_checkpoint(path)
 
+    def test_deeply_nested_header(self, tiny_model, tmp_path):
+        path = tmp_path / "m.nsp"
+        tiny_model.save_checkpoint(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<I", 100_000) + b"[" * 100_000)
+        with pytest.raises(CheckpointFormatError, match="unreadable header"):
+            EncoderModel.load_checkpoint(path)
+
     def test_step_and_seed_recorded(self, tok, tmp_path):
         cfg = EncoderConfig(n_layers=1, hidden=16, n_heads=2, vocab_size=len(tok.vocab))
         model = EncoderModel(cfg, seed=99)

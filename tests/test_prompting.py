@@ -1,6 +1,8 @@
 """Templates, verbalizers, rendering, task configs, and PET cloze
 construction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ class TestTaskConfig:
     def test_round_trip(self, tmp_path):
         task = self._task()
         path = tmp_path / "task.json"
-        task.save(path)
+        path.write_text(json.dumps(task.to_dict()))
         loaded = TaskConfig.load(path)
         assert loaded.to_dict() == task.to_dict()
 

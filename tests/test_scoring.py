@@ -1,7 +1,8 @@
 """Answer mapping: candidates-contrast, samples-contrast apportionment,
-dev-set thresholds, PET scoring and the histogram/JSONL emitters."""
+dev-set thresholds, PET scoring, the histogram emitter and the JSONL reader."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from nspbert.scoring import (
     load_scored_jsonl,
     pet_score,
     samples_contrast,
-    save_scored_jsonl,
     score_candidates,
     thresholds_from_dev,
 )
@@ -324,7 +324,8 @@ class TestEmitters:
     def test_scored_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "scored.jsonl"
         samples = [ScoredSample(0, 0.25, gold="A"), ScoredSample(1, [0.5, 0.75])]
-        save_scored_jsonl(samples, path)
+        path.write_text("".join(json.dumps({"id": s.sample_id, "q": s.q, "gold": s.gold}) + "\n"
+                                for s in samples))
         loaded = load_scored_jsonl(path)
         assert [(s.sample_id, s.q, s.gold) for s in loaded] == \
             [(0, 0.25, "A"), (1, [0.5, 0.75], None)]
