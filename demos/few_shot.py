@@ -7,9 +7,6 @@ cross-entropy; compares against a fresh [CLS] classification head.
 Run:  python3 demos/few_shot.py        (~6-8 minutes on one core)
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from nspbert.corpus import SyntheticCorpusConfig, generate_corpus
@@ -21,7 +18,6 @@ from nspbert.tuning import TuningConfig
 K = 8
 SEEDS = (13, 21)
 STEPS = 2000
-CHECKPOINT = os.path.join(tempfile.gettempdir(), "demo-fewshot.nsp")
 
 corpus_cfg = SyntheticCorpusConfig(seed=7)
 docs = generate_corpus(corpus_cfg)
@@ -29,7 +25,6 @@ vocab = vocab_from_documents(docs)
 base = EncoderModel(EncoderConfig.preset("micro", vocab_size=len(vocab)), seed=21)
 print(f"pre-training for {STEPS} steps ...")
 pretrain(base, docs, vocab, steps=STEPS, seed=21)
-base.save_checkpoint(CHECKPOINT)
 
 examples, task = make_synthetic_task(corpus_cfg, "topic", seed=1, n_documents=60)
 rng = np.random.default_rng(0)
@@ -40,7 +35,7 @@ for seed in SEEDS:
     test = [s.test[i] for i in rng.choice(len(s.test), 120, replace=False)]
     split = KShotSplit(s.train, dev, test, seed)
     results = {
-        variant: run_split(CHECKPOINT, split, task, vocab,
+        variant: run_split(base, split, task, vocab,
                            TuningConfig(epochs=4, lr=1e-4, batch_size=8,
                                         variant=variant)).test_acc
         for variant in ("coupled_bce", "fine_tune")

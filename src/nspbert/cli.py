@@ -26,7 +26,7 @@ from .harness import (
     run_experiment,
     run_split,
 )
-from .model import EncoderConfig, EncoderModel, checkpoint_config
+from .model import EncoderConfig, EncoderModel
 from .prompting import TaskConfig
 from .pretrain import PretrainConfig, pretrain as run_pretrain, vocab_from_documents
 from .scoring import (
@@ -75,15 +75,16 @@ def _load_json(path):
     return {} if path is None else read_json(path, "config")
 
 
-def _load_vocab(checkpoint):
-    """The vocab at "<checkpoint>.vocab", refused unless it has the
-    checkpoint's vocab_size."""
+def _load(checkpoint):
+    """The model at `checkpoint` and the vocab at "<checkpoint>.vocab",
+    refused unless it has the model's vocab_size."""
     vocab = Vocab.load(checkpoint + ".vocab")
-    size = checkpoint_config(checkpoint).vocab_size
+    model = EncoderModel.load_checkpoint(checkpoint)
+    size = model.config.vocab_size
     if len(vocab) != size:
         raise ValidationError(f"{checkpoint}.vocab has {len(vocab)} tokens but "
                               f"checkpoint {checkpoint!r} has vocab_size {size}")
-    return vocab
+    return model, vocab
 
 
 def _require(ctx, key):
@@ -144,9 +145,7 @@ def eval_zeroshot(ctx, data, mode):
     from .harness import evaluate
 
     task = TaskConfig.load(_require(ctx, "config"))
-    checkpoint = _require(ctx, "checkpoint")
-    vocab = _load_vocab(checkpoint)
-    model = EncoderModel.load_checkpoint(checkpoint)
+    model, vocab = _load(_require(ctx, "checkpoint"))
     examples = load_jsonl(data, task)
     dev = None
     if mode in ("samples_contrast", "thresholds"):
@@ -184,10 +183,9 @@ def map_samples(ctx, scored):
 def _tune(ctx, data, variant):
     """Tune on the K-shot split of --seed; save the tuned model to --out."""
     task = TaskConfig.load(_require(ctx, "config"))
-    checkpoint = _require(ctx, "checkpoint")
-    vocab = _load_vocab(checkpoint)
+    model, vocab = _load(_require(ctx, "checkpoint"))
     split = kshot_split(load_jsonl(data, task), task.k_shot, ctx.obj["seed"])
-    run = run_split(checkpoint, split, task, vocab, TuningConfig(variant=variant))
+    run = run_split(model, split, task, vocab, TuningConfig(variant=variant))
     out = _require(ctx, "out")
     run.tuned.model.save_checkpoint(out)
     vocab.save(out + ".vocab")
@@ -218,8 +216,7 @@ def fine_tune_cmd(ctx, data):
 def ablate(ctx, data):
     """Run all tuning variants over the default seed suite; emit a CSV."""
     task = TaskConfig.load(_require(ctx, "config"))
-    checkpoint = _require(ctx, "checkpoint")
-    vocab = _load_vocab(checkpoint)
+    model, vocab = _load(_require(ctx, "checkpoint"))
     examples = load_jsonl(data, task)
     splits = [kshot_split(examples, task.k_shot, s) for s in DEFAULT_SEEDS]
     out = _require(ctx, "out")
@@ -227,7 +224,7 @@ def ablate(ctx, data):
         writer = csv.DictWriter(f, fieldnames=ABLATION_FIELDS)
         writer.writeheader()
         for variant in VARIANTS:
-            runs = [run_split(checkpoint, split, task, vocab, TuningConfig(variant=variant))
+            runs = [run_split(model, split, task, vocab, TuningConfig(variant=variant))
                     for split in splits]
             writer.writerows(run.row() for run in runs)
             mean, std = mean_std([run.test_acc for run in runs])
@@ -243,13 +240,13 @@ def report(ctx):
     task = TaskConfig.load(cfg.task)
     examples = load_jsonl(cfg.data, task)
     checkpoint = cfg.checkpoint or _require(ctx, "checkpoint")
-    vocab = _load_vocab(checkpoint)
+    model, vocab = _load(checkpoint)
     exp = ExperimentConfig(
         mode=cfg.mode, checkpoint=checkpoint, task=task, data=examples,
         k=task.k_shot if cfg.k is None else cfg.k, seeds=cfg.seeds,
         tuning=TuningConfig(cfg.epochs, cfg.lr, cfg.batch_size, cfg.variant),
     )
-    rep = run_experiment(exp, vocab)
+    rep = run_experiment(exp, model, vocab)
     out = _require(ctx, "out")
     rep.to_json(out + ".json")
     rep.to_csv(out + ".csv")

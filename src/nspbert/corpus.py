@@ -43,6 +43,22 @@ class SyntheticCorpusConfig:
     shared_styles: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("n_topics", 1), ("words_per_topic", 1), ("shared_words", 1),
+                          ("n_documents", 1), ("sentences_per_document", 1),
+                          ("sentence_len_min", 1), ("words_per_document", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"corpus config {name} must be >= {low}, "
+                                      f"got {getattr(self, name)}")
+        if self.sentence_len_max < self.sentence_len_min:
+            raise ValidationError(f"corpus config sentence_len_max {self.sentence_len_max} "
+                                  f"is below sentence_len_min {self.sentence_len_min}")
+        if not 0.0 <= self.concentration <= 1.0:
+            raise ValidationError(f"concentration must be in [0, 1], got {self.concentration}")
+        if not 0 <= self.shared_styles <= self.shared_words:
+            raise ValidationError(f"corpus config shared_styles must be in [0, shared_words "
+                                  f"{self.shared_words}], got {self.shared_styles}")
+
     def topic_lexicon(self, topic):
         return [f"t{topic}w{j:02d}" for j in range(self.words_per_topic)]
 
@@ -70,10 +86,6 @@ class NspPairExample:
 
 def generate_corpus(cfg, id_prefix="doc"):
     """Deterministic synthetic corpus; one topic tag per document."""
-    if cfg.n_topics < 1 or cfg.n_documents < 1 or cfg.sentences_per_document < 1:
-        raise ValidationError("corpus config needs at least one topic, document and sentence")
-    if not 0.0 <= cfg.concentration <= 1.0:
-        raise ValidationError(f"concentration must be in [0, 1], got {cfg.concentration}")
     rng = np.random.default_rng(cfg.seed)
     all_shared = cfg.shared_lexicon()
     docs = []

@@ -51,8 +51,8 @@ def is_int(value):
 
 def check_type(tp, value, what):
     """`value` as a `tp`: bool is not a number, an int fills a float, a list
-    fills a tuple, `X | None` accepts null and a dataclass recurses.  `what`
-    names the value in errors."""
+    fills a tuple, a string must encode as UTF-8, `X | None` accepts null and
+    a dataclass recurses.  `what` names the value in errors."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
         if value is None and type(None) in args:
@@ -71,6 +71,11 @@ def check_type(tp, value, what):
     if not ok:
         got = _TYPE_NAMES.get(type(value), type(value).__name__)
         raise ValidationError(f"{what} must be {_TYPE_NAMES[base]}, not {got}")
+    if base is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as e:  # a JSON escape of a lone surrogate
+            raise ValidationError(f"{what} is not UTF-8 text") from e
     if base in (list, tuple) and args:
         return base(check_type(args[0], v, f"{what}[{i}]") for i, v in enumerate(value))
     if base is dict and args:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .corpus import ISNEXT_LABEL, generate_corpus, sample_nsp_pairs
 from .errors import ValidationError, check_type, read_jsonl
-from .model import EncoderModel
 from .prompting import AnswerMapping, PromptTemplate, TaskConfig, Verbalizer
 from .scoring import (
     LabelDistribution,
@@ -70,7 +69,9 @@ def load_jsonl(path, task):
         if task.task_type == "pair" and not text_b:
             raise ValidationError(f"{where}: pair task requires text_b")
         ex_id = rec.get("id", lineno)
-        if isinstance(ex_id, (list, dict)):
+        if isinstance(ex_id, str):
+            check_type(str, ex_id, f"{where}: id")
+        elif isinstance(ex_id, (list, dict)):
             raise ValidationError(f"{where}: id must be a string or number")
         if ex_id in seen_ids:
             raise ValidationError(f"{where}: duplicate id {ex_id!r}")
@@ -239,18 +240,17 @@ class SplitRun:
         return {key: getattr(self, key) for key in ABLATION_FIELDS}
 
 
-def run_split(checkpoint, split, task, vocab, tuning=None, mode=None):
-    """Load the checkpoint and score split.test.  With `tuning`, first train
-    it on split.train (variant "fine_tune": `fine_tune_baseline`, else
-    `nsp_tune`) seeded by split.seed, keeping the best split.dev epoch;
-    without, evaluate `mode` with split.dev as its dev set."""
-    model = EncoderModel.load_checkpoint(checkpoint)
+def run_split(model, split, task, vocab, tuning=None, mode=None):
+    """Score split.test.  With `tuning`, first train a copy of `model` on
+    split.train (variant "fine_tune": `fine_tune_baseline`, else `nsp_tune`)
+    seeded by split.seed, keeping the best split.dev epoch; without, evaluate
+    `mode` on `model` with split.dev as its dev set.  `model` is left as it is."""
     if tuning is None:
         acc = evaluate(model, vocab, split.test, task, mode, dev=split.dev)
         return SplitRun(mode, split.seed, -1, float("nan"), acc, split.fingerprint())
     cfg = dataclasses.replace(tuning, seed=split.seed)
     train = fine_tune_baseline if cfg.variant == "fine_tune" else nsp_tune
-    res = train(model, split.train, split.dev, task, vocab, cfg)
+    res = train(model.copy(), split.train, split.dev, task, vocab, cfg)
     dev_acc = max(h["dev_acc"] for h in res.history) if res.history else float("nan")
     test_acc = accuracy(res.predict(split.test, task, vocab), split.test)
     return SplitRun(cfg.variant, split.seed, res.best_epoch, dev_acc, test_acc,
@@ -317,8 +317,8 @@ def file_hash(path):
     return h.hexdigest()[:16]
 
 
-def run_experiment(cfg, vocab):
-    """One run_split per seed; mean and population std of test accuracy."""
+def run_experiment(cfg, model, vocab):
+    """One run_split of `model` per seed; mean and population std of test accuracy."""
     tuning = None
     if cfg.mode == "fine_tune":
         tuning = dataclasses.replace(cfg.tuning, variant="fine_tune")
@@ -326,8 +326,8 @@ def run_experiment(cfg, vocab):
         if cfg.tuning.variant not in VARIANTS:
             raise ValidationError(f"mode 'nsp_tuning' cannot run variant {cfg.tuning.variant!r}")
         tuning = cfg.tuning
-    runs = [run_split(cfg.checkpoint, kshot_split(cfg.data, cfg.k, seed), cfg.task, vocab,
-                      tuning, cfg.mode) for seed in cfg.seeds]
+    runs = [run_split(model, kshot_split(cfg.data, cfg.k, seed), cfg.task, vocab, tuning,
+                      cfg.mode) for seed in cfg.seeds]
     accs = [r.test_acc for r in runs]
     mean, std = mean_std(accs)
     return ExperimentReport(

@@ -60,10 +60,6 @@ class EncoderConfig:
         if self.max_position < 16:
             raise ValidationError(f"max_position must be >= 16, got {self.max_position}")
 
-    @property
-    def intermediate(self):
-        return 4 * self.hidden
-
     @classmethod
     def preset(cls, name, vocab_size, max_position=128):
         l, h, a = PRESETS[name]
@@ -125,60 +121,71 @@ def _read_header(f, path):
         raise CheckpointFormatError(f"bad config in {path!r}: {e}") from e
 
 
-def checkpoint_config(path):
-    """The EncoderConfig in a checkpoint's header, without its tensors."""
-    with open(path, "rb") as f:
-        return _read_header(f, path)[1]
+def param_layout(config):
+    """{name: (shape, init)} of every parameter, in initialisation order; init
+    is "normal" (truncated normal, the only one that draws), "zeros" or "ones"."""
+    c, h, f = config, config.hidden, 4 * config.hidden  # f: the FFN width
+    layout = {}
+
+    def add(init, shape, *names):
+        layout.update((name, (shape, init)) for name in names)
+
+    add("normal", (c.vocab_size, h), "embeddings.word")
+    add("normal", (c.max_position, h), "embeddings.position")
+    add("normal", (c.type_vocab, h), "embeddings.segment")
+    add("ones", (h,), "embeddings.ln.gain")
+    add("zeros", (h,), "embeddings.ln.bias")
+    for i in range(c.n_layers):
+        attn, ffn = f"layer{i}.attn.", f"layer{i}.ffn."
+        add("normal", (h, h), *(attn + mat for mat in ("wq", "wk", "wv", "wo")))
+        add("zeros", (h,), *(attn + vec for vec in ("bq", "bk", "bv", "bo")))
+        add("ones", (h,), attn + "ln.gain")
+        add("zeros", (h,), attn + "ln.bias")
+        add("normal", (h, f), ffn + "w1")
+        add("zeros", (f,), ffn + "b1")
+        add("normal", (f, h), ffn + "w2")
+        add("zeros", (h,), ffn + "b2")
+        add("ones", (h,), ffn + "ln.gain")
+        add("zeros", (h,), ffn + "ln.bias")
+    add("normal", (h, h), "mlm.transform.w")
+    add("zeros", (h,), "mlm.transform.b")
+    add("ones", (h,), "mlm.ln.gain")
+    add("zeros", (h,), "mlm.ln.bias")
+    add("zeros", (c.vocab_size,), "mlm.bias")
+    add("normal", (h, h), "nsp.pool.w")
+    add("zeros", (h,), "nsp.pool.b")
+    add("normal", (2, h), "nsp.out.w")
+    add("zeros", (2,), "nsp.out.b")
+    return layout
+
+
+def init_arrays(config, rng, prefix=""):
+    """Fresh arrays of the layout entries whose names start with `prefix`,
+    drawn from rng in layout order."""
+    return {name: _trunc_normal(rng, shape) if init == "normal"
+            else np.full(shape, 1.0 if init == "ones" else 0.0, dtype=np.float32)
+            for name, (shape, init) in param_layout(config).items() if name.startswith(prefix)}
 
 
 class EncoderModel:
     """Transformer encoder (post-layer-norm blocks) + MLM and NSP heads."""
 
-    def __init__(self, config, seed=0):
+    def __init__(self, config, seed=0, arrays=None, step=0):
+        """Parameters drawn from `seed`, or wrapping `arrays` ({name: float32
+        array} for every layout entry) with no draw; `step` counts the
+        training steps taken."""
         self.config = config
         self.seed = seed
-        self.step = 0
-        rng = np.random.default_rng(seed)
-        c = config
-        p = {}
+        self.step = step
+        if arrays is None:
+            arrays = init_arrays(config, np.random.default_rng(seed))
+        self.params = {name: Tensor(arrays[name], requires_grad=True)
+                       for name in param_layout(config)}
 
-        def w(name, *shape):
-            p[name] = Tensor(_trunc_normal(rng, shape), requires_grad=True)
-
-        def zeros(name, *shape):
-            p[name] = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-        def ones(name, *shape):
-            p[name] = Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-        w("embeddings.word", c.vocab_size, c.hidden)
-        w("embeddings.position", c.max_position, c.hidden)
-        w("embeddings.segment", c.type_vocab, c.hidden)
-        ones("embeddings.ln.gain", c.hidden)
-        zeros("embeddings.ln.bias", c.hidden)
-        for i in range(c.n_layers):
-            for mat in ("wq", "wk", "wv", "wo"):
-                w(f"layer{i}.attn.{mat}", c.hidden, c.hidden)
-            for vec in ("bq", "bk", "bv", "bo"):
-                zeros(f"layer{i}.attn.{vec}", c.hidden)
-            ones(f"layer{i}.attn.ln.gain", c.hidden)
-            zeros(f"layer{i}.attn.ln.bias", c.hidden)
-            w(f"layer{i}.ffn.w1", c.hidden, c.intermediate)
-            zeros(f"layer{i}.ffn.b1", c.intermediate)
-            w(f"layer{i}.ffn.w2", c.intermediate, c.hidden)
-            zeros(f"layer{i}.ffn.b2", c.hidden)
-            ones(f"layer{i}.ffn.ln.gain", c.hidden)
-            zeros(f"layer{i}.ffn.ln.bias", c.hidden)
-        w("mlm.transform.w", c.hidden, c.hidden)
-        zeros("mlm.transform.b", c.hidden)
-        ones("mlm.ln.gain", c.hidden)
-        zeros("mlm.ln.bias", c.hidden)
-        zeros("mlm.bias", c.vocab_size)
-        w("nsp.pool.w", c.hidden, c.hidden)
-        zeros("nsp.pool.b", c.hidden)
-        w("nsp.out.w", 2, c.hidden)
-        zeros("nsp.out.b", 2)
-        self.params = p
+    def copy(self):
+        """An independent model holding copies of this one's arrays."""
+        return EncoderModel(self.config, self.seed,
+                            {name: p.data.copy() for name, p in self.params.items()}, self.step)
 
     # ------------------------------------------------------------------
     def _stack(self, pairs):
@@ -293,13 +300,16 @@ class EncoderModel:
         with open(path, "rb") as f:
             header, config = _read_header(f, path)
             data = f.read()
-        model = cls(config, seed=header.get("seed", 0))
-        model.step = header.get("step", 0)
-        for name in sorted(model.params):
+        layout = param_layout(config)
+        unknown = sorted(set(header["tensors"]) - set(layout))
+        if unknown:
+            raise CheckpointShapeError(f"checkpoint has unknown tensor {unknown[0]!r}")
+        arrays = {}
+        for name in sorted(layout):
             if name not in header["tensors"]:
                 raise CheckpointShapeError(f"checkpoint missing tensor {name!r}")
             entry = header["tensors"][name]
-            expected = model.params[name].data.shape
+            expected = layout[name][0]
             if tuple(entry["shape"]) != expected:
                 raise CheckpointShapeError(
                     f"tensor {name!r} has shape {tuple(entry['shape'])}, "
@@ -312,5 +322,5 @@ class EncoderModel:
                 raise CheckpointTruncatedError(
                     f"{path!r} ends inside tensor {name!r} data"
                 )
-            model.params[name].data = np.frombuffer(chunk, dtype="<f4").reshape(expected).copy()
-        return model
+            arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(expected).copy()
+        return cls(config, header.get("seed", 0), arrays, header.get("step", 0))

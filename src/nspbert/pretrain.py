@@ -71,6 +71,8 @@ def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_siz
              lr=PretrainConfig.lr, seed=0, max_len=PretrainConfig.max_len,
              mask_rate=PretrainConfig.mask_rate):
     """Train in place; returns a per-step trace of (total, mlm, nsp) losses."""
+    if not 0.0 <= mask_rate < 1.0:
+        raise ValidationError(f"mask_rate must be in [0, 1), got {mask_rate}")
     if any(len(d.sentences) < 2 for d in documents) or len(documents) < 2:
         raise ValidationError("corpus too small for NSP pair sampling")
     tok = Tokenizer(vocab)

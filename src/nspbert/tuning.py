@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DivergenceError, ValidationError
-from .model import ISNEXT, EncoderModel, _trunc_normal
+from .model import ISNEXT, EncoderModel, _trunc_normal, init_arrays
 from .prompting import render_single
 from .tensor import Tensor
 from .tokenizer import Tokenizer
@@ -245,12 +245,9 @@ def nsp_tune(model, train, dev, task, vocab, cfg):
 
     extra = {}
     if cfg.variant == "reinit_sigmoid_head":
-        head_rng = np.random.default_rng(cfg.seed + 1)
-        for name in ("nsp.pool.w", "nsp.out.w"):
-            p = model.params[name]
-            p.data = _trunc_normal(head_rng, p.data.shape)
-        for name in ("nsp.pool.b", "nsp.out.b"):
-            model.params[name].data = np.zeros_like(model.params[name].data)
+        fresh = init_arrays(model.config, np.random.default_rng(cfg.seed + 1), "nsp.")
+        for name, arr in fresh.items():
+            model.params[name].data = arr
     elif cfg.variant == "linear_head_softmax":
         extra = _new_head(model, n_labels, cfg.seed)
 

@@ -86,10 +86,11 @@ def zeroshot_by_seed(pretrained, fewshot_splits, topic_task):
 def ablation_results(pretrained, fewshot_splits, topic_task):
     _, task = topic_task
     vocab = pretrained["vocab"]
+    model = EncoderModel.load_checkpoint(pretrained["checkpoint"])
     out = {}
     for variant in VARIANTS:
         tuning = TuningConfig(epochs=TUNE_EPOCHS, lr=TUNE_LR, batch_size=8, variant=variant)
-        runs = [run_split(pretrained["checkpoint"], split, task, vocab, tuning)
+        runs = [run_split(model, split, task, vocab, tuning)
                 for split in fewshot_splits]
         mean, std = mean_std([run.test_acc for run in runs])
         out[variant] = ([run.row() for run in runs],
@@ -384,7 +385,7 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_criterion_6_fewshot_ordering(self, pretrained, fewshot_splits,
+    def test_criterion_6_fewshot_ordering(self, pretrained, pretrained_model, fewshot_splits,
                                           topic_task, zeroshot_by_seed,
                                           ablation_results):
         _, task = topic_task
@@ -394,7 +395,7 @@ class TestCriterion6:
         zs_mean = float(np.mean(zeroshot_by_seed))
         tuning = TuningConfig(epochs=TUNE_EPOCHS, lr=TUNE_LR, batch_size=8,
                               variant="fine_tune")
-        ft_accs = [run_split(pretrained["checkpoint"], split, task, vocab, tuning).test_acc
+        ft_accs = [run_split(pretrained_model, split, task, vocab, tuning).test_acc
                    for split in fewshot_splits]
         ft_mean = float(np.mean(ft_accs))
         fast = sum(1 for r in rows if r["epoch"] <= 2)

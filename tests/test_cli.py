@@ -202,12 +202,26 @@ class TestHistogram:
         assert sum(int(r[2]) for r in rows[1:]) == 3
 
 
+def count_loads(monkeypatch):
+    """The paths of every EncoderModel.load_checkpoint call from now on."""
+    calls, load = [], EncoderModel.load_checkpoint
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(EncoderModel, "load_checkpoint", staticmethod(counted))
+    return calls
+
+
 class TestAblate:
-    def test_variant_by_seed_rows(self, workdir, tmp_path):
+    def test_variant_by_seed_rows(self, workdir, tmp_path, monkeypatch):
         d, task_path = workdir
         out = tmp_path / "ablation.csv"
+        loads = count_loads(monkeypatch)
         assert run(["--config", task_path, "--checkpoint", str(d / "model.nsp"),
                     "--out", str(out), "ablate", "--data", str(d / "data.jsonl")]) == 0
+        assert loads == [str(d / "model.nsp")]  # once, not once per variant and seed
         with open(out, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["variant", "seed", "epoch", "dev_acc", "test_acc"]
@@ -231,14 +245,16 @@ class TestReport:
         assert (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("mode", ["nsp_tuning", "fine_tune"])
-    def test_tuning_modes(self, workdir, tmp_path, mode):
+    def test_tuning_modes(self, workdir, tmp_path, monkeypatch, mode):
         d, task_path = workdir
         cfg = write_json(tmp_path / "exp.json", {
             "task": task_path, "data": str(d / "data.jsonl"),
             "checkpoint": str(d / "model.nsp"), "mode": mode,
             "k": 1, "seeds": [13, 21], "epochs": 2, "lr": 1e-3,
         })
+        loads = count_loads(monkeypatch)
         assert run(["--config", cfg, "--out", str(tmp_path / "report"), "report"]) == 0
+        assert loads == [str(d / "model.nsp")]  # once, not once per seed
         rep = json.loads((tmp_path / "report.json").read_text())
         assert [r["seed"] for r in rep["per_seed"]] == [13, 21]
         assert rep["accuracies"] == [r["accuracy"] for r in rep["per_seed"]]
@@ -339,6 +355,18 @@ BAD_CONFIGS = {
     "pretrain-zero-steps": ({"corpus": TINY_CORPUS, "steps": 0}, ["pretrain"], "steps"),
     "pretrain-zero-batch": ({"corpus": TINY_CORPUS, "steps": 1, "batch_size": 0}, ["pretrain"],
                             "batch_size"),
+    "gen-corpus-zero-words_per_topic": ({"words_per_topic": 0}, ["gen-corpus"],
+                                        "words_per_topic must be >= 1"),
+    "gen-corpus-zero-shared_words": ({"shared_words": 0}, ["gen-corpus"],
+                                     "shared_words must be >= 1"),
+    "gen-corpus-shared_styles-above-shared_words": ({"shared_styles": 500}, ["gen-corpus"],
+                                                    "shared_styles"),
+    "gen-corpus-sentence_len-inverted": ({"sentence_len_min": 9, "sentence_len_max": 3},
+                                         ["gen-corpus"], "sentence_len_max 3"),
+    "gen-corpus-negative-words_per_document": ({"words_per_document": -3}, ["gen-corpus"],
+                                               "words_per_document must be >= 0"),
+    "pretrain-negative-mask_rate": ({"corpus": TINY_CORPUS, "mask_rate": -1, "steps": 1,
+                                     "max_len": 24}, ["pretrain"], "mask_rate"),
     "seed-negative": (TINY_CORPUS, ["--seed", "-1", "gen-corpus"], "--seed"),
     "out-directory": (TINY_CORPUS, ["--out", ".", "gen-corpus"], "directory"),
     "config-directory": (TINY_CORPUS, ["--config", ".", "gen-corpus"], "directory"),
@@ -378,6 +406,13 @@ BAD_FILES = {
     "corpus-not-utf8": ("corpus.jsonl", b'{"topic": 0, "sentences": ["\xff"]}\n', PRETRAIN),
     "corpus-topic-string": ("corpus.jsonl", b'{"topic": "a", "sentences": ["a b", "c d"]}\n',
                             PRETRAIN),
+    "corpus-lone-surrogate": ("corpus.jsonl", b'{"topic": 0, "sentences": ["a \\udcff", "b"]}\n'
+                              b'{"topic": 1, "sentences": ["c d", "e f"]}\n', PRETRAIN),
+    "data-text_a-lone-surrogate": ("data.jsonl", b'{"text_a": "a \\udcff", "label": "topic0"}\n',
+                                   [*EVAL, "{tmp}/data.jsonl"]),
+    "data-id-lone-surrogate": ("data.jsonl",
+                               b'{"id": "\\udcff", "text_a": "a", "label": "topic0"}\n',
+                               [*EVAL, "{tmp}/data.jsonl"]),
     "scored-not-utf8": ("scored.jsonl", b'{"id": 0, "q": 0.5}\n\xff\n', HISTOGRAM),
     "scored-q-string": ("scored.jsonl", b'{"id": 0, "q": "0.5"}\n', HISTOGRAM),
     "scored-q-list": ("scored.jsonl", b'{"id": 0, "q": [0.5, 0.5], "gold": "topic0"}\n',
@@ -387,6 +422,12 @@ BAD_FILES = {
                          ["--config", "{task}", "--out", "{tmp}/m.jsonl", "map-samples",
                           "--scored", "{tmp}/scored.jsonl"]),
 }
+
+
+# The file line each lone-surrogate case's error must name.
+SURROGATE_LINES = {"corpus-lone-surrogate": "corpus.jsonl:1",
+                   "data-text_a-lone-surrogate": "data.jsonl:1",
+                   "data-id-lone-surrogate": "data.jsonl:1"}
 
 
 @pytest.mark.parametrize("case", list(BAD_FILES))
@@ -399,7 +440,9 @@ def test_bad_file_exits_2_with_one_line(workdir, tmp_path, capsys, case):
         (tmp_path / name).write_bytes(content)
     capsys.readouterr()
     code = run([arg.format(d=d, tmp=tmp_path, task=task_path) for arg in command])
-    assert_one_line_exit_2(code, capsys)
+    err = assert_one_line_exit_2(code, capsys)
+    if case in SURROGATE_LINES:
+        assert f"{SURROGATE_LINES[case]}: " in err and "not UTF-8" in err
 
 
 def test_malformed_json_config_exits_2(tmp_path, capsys):
@@ -465,6 +508,17 @@ def test_bad_checkpoint_header_exits_2(workdir, tmp_path, capsys, case):
     code = run(["--config", task_path, "--checkpoint", str(ckpt),
                 "eval-zeroshot", "--data", str(d / "data.jsonl")])
     assert "bad header" in assert_one_line_exit_2(code, capsys)
+
+
+def test_unknown_checkpoint_tensor_exits_2(workdir, tmp_path, capsys):
+    d, task_path = workdir
+    ckpt = tmp_path / "bad.nsp"
+    rewrite_header(d / "model.nsp", ckpt, lambda h: {
+        **h, "tensors": {**h["tensors"], "bogus": {"shape": [2], "offset": 0}}})
+    capsys.readouterr()
+    code = run(["--config", task_path, "--checkpoint", str(ckpt),
+                "eval-zeroshot", "--data", str(d / "data.jsonl")])
+    assert "unknown tensor 'bogus'" in assert_one_line_exit_2(code, capsys)
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +622,38 @@ def test_config_type_fuzz(workdir, fuzz_dir, tmp_path, capsys, data):
     capsys.readouterr()
     code = run(["--config", cfg, "--checkpoint", str(d / "model.nsp"),
                 "--out", str(tmp_path / "out"), *command])
+    assert code in (0, 2)
+    if code == 2:
+        assert_one_line_exit_2(code, capsys)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_range_fuzz(tmp_path, capsys, data):
+    """A valid corpus or pretrain config with one integer swapped for 0, -3
+    or 500 runs or exits 2 with one line; it never exits 1."""
+    corpus = {**TINY_CORPUS, "sentence_len_min": 5, "sentence_len_max": 12,
+              "shared_styles": 4, "seed": 0}
+    commands = {
+        "corpus": (corpus, ["gen-corpus"]),
+        "pretrain": ({"corpus": corpus, "steps": 1, "batch_size": 2, "max_len": 24},
+                     ["pretrain"]),
+    }
+    config, command = commands[data.draw(st.sampled_from(list(commands)), label="config")]
+
+    def at(path):
+        value = config
+        for key in path:
+            value = value[key]
+        return value
+
+    paths = [p for p in value_paths(config) if type(at(p)) is int]
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(st.sampled_from([0, -3, 500]), label="value")
+    cfg = write_json(tmp_path / "cfg.json", swapped(config, path, value))
+    capsys.readouterr()
+    code = run(["--config", cfg, "--out", str(tmp_path / "out"), *command])
     assert code in (0, 2)
     if code == 2:
         assert_one_line_exit_2(code, capsys)

@@ -242,18 +242,18 @@ class TestExperiment:
         assert other.fingerprint() != cfg.fingerprint()
 
     def test_nsp_tuning_rejects_fine_tune_variant(self, tiny_model, pair_task):
-        _, vocab = tiny_model
+        model, vocab = tiny_model
         cfg = dataclasses.replace(self._config("x", pair_task, _pair_examples(15)),
                                   mode="nsp_tuning", tuning=TuningConfig(variant="fine_tune"))
         with pytest.raises(ValidationError, match="nsp_tuning"):
-            run_experiment(cfg, vocab)
+            run_experiment(cfg, model, vocab)
 
     def test_run_experiment_report(self, tiny_model, pair_task, tmp_path):
         model, vocab = tiny_model
         ckpt = tmp_path / "m.nsp"
         model.save_checkpoint(ckpt)
         cfg = self._config(ckpt, pair_task, _pair_examples(15))
-        report = run_experiment(cfg, vocab)
+        report = run_experiment(cfg, model, vocab)
         assert len(report.accuracies) == 2
         assert report.mean == pytest.approx(float(np.mean(report.accuracies)))
         assert report.std == pytest.approx(float(np.std(report.accuracies)))

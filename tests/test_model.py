@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import nspbert.model
 import nspbert.tensor as T
 from nspbert.errors import (
     CheckpointFormatError,
@@ -205,6 +206,31 @@ class TestCheckpoint:
         write_header(path, [header] if value == "list" else edited(header, keys, value))
         with pytest.raises(CheckpointFormatError, match=str(path)):
             EncoderModel.load_checkpoint(path)
+
+    def test_unknown_tensor_refused(self, tiny_model, tmp_path):
+        path = tmp_path / "m.nsp"
+        tiny_model.save_checkpoint(path)
+        header = read_header(path)
+        header["tensors"]["bogus"] = {"shape": [2], "offset": 0}
+        write_header(path, header)
+        with pytest.raises(CheckpointShapeError, match="unknown tensor 'bogus'"):
+            EncoderModel.load_checkpoint(path)
+
+    def test_load_draws_no_random_numbers(self, tiny_model, tmp_path, monkeypatch):
+        path = tmp_path / "m.nsp"
+        tiny_model.save_checkpoint(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random draw")
+
+        monkeypatch.setattr(nspbert.model, "_trunc_normal", refuse)
+        with pytest.raises(AssertionError, match="random draw"):
+            EncoderModel(tiny_model.config)
+        loaded = EncoderModel.load_checkpoint(path)
+        assert list(loaded.params) == list(tiny_model.params)
+        for name, p in tiny_model.params.items():
+            assert np.array_equal(p.data, loaded.params[name].data)
+            assert loaded.params[name].data.dtype == np.float32
 
     def test_deeply_nested_header(self, tiny_model, tmp_path):
         path = tmp_path / "m.nsp"

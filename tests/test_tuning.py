@@ -203,17 +203,15 @@ class TestAccuracy:
 
 class TestRunSplit:
     @pytest.fixture()
-    def ckpt(self, setup, tmp_path):
+    def model(self, setup):
         _, cfg, _, _ = setup
-        path = str(tmp_path / "m.nsp")
-        EncoderModel(cfg, seed=0).save_checkpoint(path)
-        return path
+        return EncoderModel(cfg, seed=0)
 
-    def test_rows_and_summary(self, setup, ckpt):
+    def test_rows_and_summary(self, setup, model):
         vocab, cfg, task, split = setup
         splits = [split, KShotSplit(split.train, split.dev, split.test, seed=1)]
         tuning = TuningConfig(epochs=1, lr=1e-3, batch_size=2)
-        runs = [run_split(ckpt, s, task, vocab, tuning) for s in splits]
+        runs = [run_split(model, s, task, vocab, tuning) for s in splits]
         assert [r.row()["seed"] for r in runs] == [0, 1]
         assert all(r.row()["variant"] == "coupled_bce" for r in runs)
         accs = [r.test_acc for r in runs]
@@ -223,31 +221,44 @@ class TestRunSplit:
         assert std == pytest.approx(float(np.sqrt(sum((a - mean) ** 2 for a in accs) / 2)))
         assert mean_std([0.5, 1.0]) == (0.75, 0.25)  # population, not sample, std
 
-    def test_unknown_variant(self, setup, ckpt):
+    def test_unknown_variant(self, setup, model):
         vocab, cfg, task, split = setup
         tuning = TuningConfig()
         tuning.variant = "mystery"
         with pytest.raises(ValidationError, match="variant"):
-            run_split(ckpt, split, task, vocab, tuning)
+            run_split(model, split, task, vocab, tuning)
 
     @pytest.mark.parametrize("variant, train", [("coupled_bce", nsp_tune),
                                                 ("fine_tune", fine_tune_baseline)])
-    def test_matches_direct_training(self, setup, ckpt, variant, train):
+    def test_matches_direct_training(self, setup, model, variant, train):
         vocab, cfg, task, split = setup
         split = KShotSplit(split.train, split.dev, split.test, seed=5)
-        run = run_split(ckpt, split, task, vocab,
+        run = run_split(model, split, task, vocab,
                         TuningConfig(epochs=2, lr=1e-3, batch_size=2, variant=variant, seed=99))
-        res = train(EncoderModel.load_checkpoint(ckpt), split.train, split.dev, task, vocab,
+        res = train(EncoderModel(cfg, seed=0), split.train, split.dev, task, vocab,
                     TuningConfig(epochs=2, lr=1e-3, batch_size=2, variant=variant, seed=5))
         assert run.tuned.history == res.history
         assert (run.seed, run.epoch) == (5, res.best_epoch)
         assert run.dev_acc == max(h["dev_acc"] for h in res.history)
         assert run.test_acc == accuracy(res.predict(split.test, task, vocab), split.test)
         assert run.split_fingerprint == split.fingerprint()
+        for name, p in res.model.params.items():
+            assert np.array_equal(run.tuned.model.params[name].data, p.data)
 
-    def test_untuned_mode_evaluates(self, setup, ckpt):
+    @pytest.mark.parametrize("variant", ["coupled_bce", "reinit_sigmoid_head", "fine_tune"])
+    def test_leaves_model_unchanged(self, setup, model, variant):
         vocab, cfg, task, split = setup
-        run = run_split(ckpt, split, task, vocab, mode="zero_shot_nsp")
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        run = run_split(model, split, task, vocab,
+                        TuningConfig(epochs=1, lr=1e-2, batch_size=2, variant=variant))
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]) and p.grad is None, name
+        tuned = run.tuned.model.params
+        assert any(not np.array_equal(tuned[name].data, before[name]) for name in before)
+
+    def test_untuned_mode_evaluates(self, setup, model):
+        vocab, cfg, task, split = setup
+        run = run_split(model, split, task, vocab, mode="zero_shot_nsp")
         assert run.tuned is None and run.epoch == -1
-        assert run.test_acc == evaluate(EncoderModel.load_checkpoint(ckpt), vocab,
-                                        split.test, task, "zero_shot_nsp")
+        assert run.test_acc == evaluate(EncoderModel(cfg, seed=0), vocab, split.test, task,
+                                        "zero_shot_nsp")
