@@ -188,19 +188,29 @@ class EncoderModel:
                             {name: p.data.copy() for name, p in self.params.items()}, self.step)
 
     # ------------------------------------------------------------------
+    def _check_width(self, width):
+        if width > self.config.max_position:
+            raise DimensionError(
+                f"sequence length {width} exceeds max_position {self.config.max_position}"
+            )
+
     def _stack(self, pairs):
+        """Id, segment and mask arrays of encoded inputs, cut after the last
+        position where any input holds a real token.  Pad keys add exactly 0
+        to attention, so the cut moves real positions' states by float
+        rounding only.  The padded width is checked first, so a task too wide
+        for the model fails on every input alike."""
+        self._check_width(len(pairs[0]))
+        attn = np.stack([p.attention_mask for p in pairs])
+        s = int(np.flatnonzero(attn.any(axis=0)).max(initial=0)) + 1
         ids = np.stack([p.ids for p in pairs])
         segs = np.stack([p.segment_ids for p in pairs])
-        attn = np.stack([p.attention_mask for p in pairs])
-        return ids, segs, attn
+        return ids[:, :s], segs[:, :s], attn[:, :s]
 
     def forward_ids(self, ids, segment_ids, attention_mask):
         """Hidden states (B, S, H) for a batch of id arrays."""
         c = self.config
-        if ids.shape[1] > c.max_position:
-            raise DimensionError(
-                f"sequence length {ids.shape[1]} exceeds max_position {c.max_position}"
-            )
+        self._check_width(ids.shape[1])
         p = self.params
         pos = np.arange(ids.shape[1])
         x = T.add(
@@ -244,6 +254,8 @@ class EncoderModel:
         return x
 
     def forward_batch(self, pairs):
+        """Hidden states (B, S, H) of encoded inputs; S is the longest real
+        input's length, not the padded width."""
         return self.forward_ids(*self._stack(pairs))
 
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ single-threaded and bit-deterministic given its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,7 @@ def vocab_from_documents(documents, max_size=8192, min_freq=1):
 
 def _encode_masked_batch(tok, pairs, max_len, mask_rate, rng):
     """Encode NSP pairs, apply MLM masking, return arrays + targets."""
+    # Full max_len width, not cut as forward_batch is: a cut moves the pre-trained weights.
     v = tok.vocab
     encoded = [tok.encode_pair(p.text_a, p.text_b, max_len) for p in pairs]
     ids = np.stack([e.ids for e in encoded])
@@ -76,6 +78,20 @@ def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_siz
     if any(len(d.sentences) < 2 for d in documents) or len(documents) < 2:
         raise ValidationError("corpus too small for NSP pair sampling")
     tok = Tokenizer(vocab)
+    # Any sentence can be sampled as sentence B, which is never truncated.  A
+    # sentence's tokens are its words' tokens, so each distinct word is
+    # encoded once, and exact sums run only when the bound below fails.
+    budget = max_len - 4
+    words = [s.split() for d in documents for s in d.sentences]
+    sizes = {w: len(tok.encode(w)) for w in set(chain.from_iterable(words))}
+    if max(map(len, words)) * max(sizes.values(), default=0) > budget:
+        where = ((d.doc_id, i) for d in documents for i in range(len(d.sentences)))
+        for (doc_id, i), ws in zip(where, words):
+            n = sum(map(sizes.__getitem__, ws))
+            if n > budget:
+                raise ValidationError(
+                    f"document {doc_id!r} sentence {i} has {n} tokens; pre-training "
+                    f"max_len {max_len} fits sentences of at most {budget}")
     rng = np.random.default_rng(seed)
     opt = T.Adam(model.params, lr=lr)
     trace = []

@@ -105,12 +105,20 @@ def run_head(model, inputs, head, chunk):
 # Prediction
 
 
-def predict_candidates_batch(model, vocab, examples, task, chunk=64, head=isnext_head):
-    """Candidates-contrast prediction: per example, the label whose candidate
-    scores highest; `chunk` examples' candidates share a forward pass."""
+def _candidate_inputs(examples, task, vocab):
+    """Every example's encoded candidates, |Y| per example in label order."""
     tok = Tokenizer(vocab)
+    return [p for ex in examples for p in encode_candidates(ex.text_a, task, tok)]
+
+
+def predict_candidates_batch(model, vocab, examples, task, chunk=64, head=isnext_head,
+                             pairs=None):
+    """Candidates-contrast prediction: per example, the label whose candidate
+    scores highest; `chunk` examples' candidates share a forward pass.  `pairs`
+    are the examples' encoded candidates, encoded here when not given."""
+    if pairs is None:
+        pairs = _candidate_inputs(examples, task, vocab)
     n_labels = len(task.labels)
-    pairs = [p for ex in examples for p in encode_candidates(ex.text_a, task, tok)]
     scores = run_head(model, pairs, head, chunk * n_labels).reshape(-1, n_labels)
     return [task.labels[i] for i in scores.argmax(axis=1)]
 
@@ -127,18 +135,27 @@ class TuneResult:
     best_epoch: int
     extra: dict = field(default_factory=dict)  # fresh-head tensors, if any
 
-    def predict(self, examples, task, vocab):
+    def encode(self, examples, task, vocab):
+        """The inputs `predict` scores for `examples`, to pass it as `inputs`
+        when the same examples are predicted again."""
         if self.variant == "fine_tune":
             # Plain classification head on [CLS] of the untemplated input.
             tok = Tokenizer(vocab)
-            encs = [tok.encode_single(ex.text_a, task.max_len) for ex in examples]
-            logits = run_head(self.model, encs,
+            return [tok.encode_single(ex.text_a, task.max_len) for ex in examples]
+        return _candidate_inputs(examples, task, vocab)
+
+    def predict(self, examples, task, vocab, inputs=None):
+        if inputs is None:
+            inputs = self.encode(examples, task, vocab)
+        if self.variant == "fine_tune":
+            logits = run_head(self.model, inputs,
                               lambda model, h: _fresh_logits(model, h, self.extra).data, 128)
             return [task.labels[i] for i in logits.argmax(axis=1)]
         head = isnext_head
         if self.variant == "linear_head_softmax":
             head = own_logit_head(self.extra)
-        return predict_candidates_batch(self.model, vocab, examples, task, head=head)
+        return predict_candidates_batch(self.model, vocab, examples, task, head=head,
+                                        pairs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +219,7 @@ def _train_loop(result, epoch_batches, dev, task, vocab, cfg):
     params = {**model.params, **extra}
     opt = T.Adam(params, lr=cfg.lr)
     best_acc, best = -1.0, None
+    dev_inputs = result.encode(dev, task, vocab) if dev else None
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for inputs, targets in epoch_batches():
@@ -213,7 +231,8 @@ def _train_loop(result, epoch_batches, dev, task, vocab, cfg):
             T.backward(loss)
             opt.step()
             epoch_losses.append(loss.item())
-        dev_acc = accuracy(result.predict(dev, task, vocab), dev) if dev else float("nan")
+        dev_acc = (accuracy(result.predict(dev, task, vocab, dev_inputs), dev) if dev
+                   else float("nan"))
         result.history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
                                "dev_acc": dev_acc})
         if dev and dev_acc > best_acc:

@@ -445,6 +445,23 @@ def test_bad_file_exits_2_with_one_line(workdir, tmp_path, capsys, case):
         assert f"{SURROGATE_LINES[case]}: " in err and "not UTF-8" in err
 
 
+def test_pretrain_refuses_long_sentence_before_step_0(tmp_path, capsys, monkeypatch):
+    docs = [{"topic": d % 2, "sentences": [f"w{d} a{i} b{i} c{i}" for i in range(3)]}
+            for d in range(20)]
+    docs[7]["sentences"].insert(1, " ".join(f"x{i}" for i in range(60)))
+    (tmp_path / "corpus.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    forwards = []
+    monkeypatch.setattr(EncoderModel, "forward_ids", lambda *a: forwards.append(a))
+    capsys.readouterr()
+    code = run(["--config", write_json(tmp_path / "pre.json",
+                                       {"steps": 300, "batch_size": 2, "max_len": 24}),
+                "--out", str(tmp_path / "out.nsp"), "pretrain",
+                "--corpus", str(tmp_path / "corpus.jsonl")])
+    err = assert_one_line_exit_2(code, capsys)
+    assert "'doc-7' sentence 1 has 60 tokens" in err and "max_len 24" in err
+    assert forwards == [] and not (tmp_path / "out.nsp").exists()
+
+
 def test_malformed_json_config_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"steps": 1,')

@@ -249,6 +249,31 @@ class TestPretrainLoop:
 
         assert run() == run()
 
+    def test_forwards_at_full_max_len(self, setup, monkeypatch):
+        """Unlike forward_batch, pre-training is not cut to its longest pair."""
+        docs, vocab, cfg = setup
+        widths, forward = [], EncoderModel.forward_ids
+
+        def spy(self, ids, *rest):
+            widths.append(ids.shape[1])
+            return forward(self, ids, *rest)
+
+        monkeypatch.setattr(EncoderModel, "forward_ids", spy)
+        pretrain(EncoderModel(cfg, seed=0), docs, vocab, steps=3, batch_size=4, seed=0,
+                 max_len=40)
+        assert widths == [40] * 3
+
+    def test_sentence_too_long_for_max_len_rejected_before_step_0(self, setup):
+        """Counted in tokens: one word of 13 punctuation-split tokens does not fit 12."""
+        docs, vocab, cfg = setup
+        long = dataclasses.replace(docs[3], sentences=[*docs[3].sentences, "a,a,a,a,a,a,a"])
+        model = EncoderModel(cfg, seed=0)
+        before = model.params["embeddings.word"].data.copy()
+        with pytest.raises(ValidationError, match=rf"{long.doc_id!r} sentence "
+                           rf"{len(docs[3].sentences)} has 13 tokens.*max_len 16"):
+            pretrain(model, [*docs[:3], long, *docs[4:]], vocab, steps=1, max_len=16)
+        assert model.step == 0 and np.array_equal(model.params["embeddings.word"].data, before)
+
     def test_divergence_raises(self, setup):
         docs, vocab, cfg = setup
         model = EncoderModel(cfg, seed=0)

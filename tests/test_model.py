@@ -37,19 +37,45 @@ def tiny_model(tok):
 
 
 class TestForward:
+    def _mixed(self, tok):
+        """Two pairs padded to 16 whose real lengths differ."""
+        short = tok.encode_pair("alpha beta", "gamma", 16)
+        long = tok.encode_pair("alpha beta gamma", "delta epsilon", 16)
+        assert short.attention_mask.sum() < long.attention_mask.sum() < 16
+        return short, long
+
     def test_output_shape(self, tiny_model, tok):
-        pair = tok.encode_pair("alpha beta", "gamma delta", 16)
-        hidden = tiny_model.forward_batch([pair])
-        assert hidden.shape == (1, 16, tiny_model.config.hidden)
+        """The width is the longest real input's length, not the padded 16."""
+        short, long = self._mixed(tok)
+        hidden = tiny_model.forward_batch([short, long])
+        assert hidden.shape == (2, long.attention_mask.sum(), tiny_model.config.hidden)
 
     def test_pad_id_change_does_not_leak(self, tiny_model, tok):
-        pair = tok.encode_pair("alpha beta", "gamma", 16)
-        base = tiny_model.forward_batch([pair]).data[0].copy()
-        pad_pos = np.where(pair.attention_mask == 0)[0][0]
-        pair.ids[pad_pos] = tok.vocab.index["mu"]
-        changed = tiny_model.forward_batch([pair]).data[0]
-        active = pair.attention_mask == 1
-        assert np.max(np.abs(base[active] - changed[active])) < 1e-6
+        short, long = self._mixed(tok)
+        base = tiny_model.forward_batch([short, long]).data.copy()
+        pad_pos = int(short.attention_mask.sum())  # short's first pad
+        assert pad_pos < base.shape[1]  # is forwarded
+        short.ids[pad_pos] = tok.vocab.index["mu"]
+        changed = tiny_model.forward_batch([short, long]).data
+        active = short.attention_mask[: base.shape[1]] == 1
+        assert np.max(np.abs(base[0][active] - changed[0][active])) < 1e-6
+        assert np.max(np.abs(base[1] - changed[1])) < 1e-6
+
+    def test_cut_batch_matches_each_input_alone_at_full_width(self, tiny_model, tok):
+        pairs = [tok.encode_pair(a, b, 16) for a, b in
+                 [("alpha", "beta"), ("alpha beta gamma delta", "epsilon zeta"),
+                  ("iota kappa", "lambda mu eta"), ("theta", "eta")]]
+        together = run_head(tiny_model, pairs, isnext_head, len(pairs))
+        with T.no_grad():
+            hidden = tiny_model.forward_batch(pairs).data
+            for i, pair in enumerate(pairs):
+                alone = tiny_model.forward_ids(pair.ids[None], pair.segment_ids[None],
+                                               pair.attention_mask[None])
+                assert alone.shape[1] == 16
+                q = isnext_head(tiny_model, alone)[0]
+                assert abs(together[i] - q) < 1e-6
+                n = int(pair.attention_mask.sum())
+                assert np.max(np.abs(hidden[i, :n] - alone.data[0, :n])) < 1e-6
 
     def test_token_permutation_changes_cls(self, tiny_model, tok):
         p1 = tok.encode_pair("alpha beta", "gamma", 16)

@@ -194,6 +194,25 @@ class TestFineTuneBaseline:
         assert accuracy(res.predict(split.train, task, vocab), split.train) >= 0.75
 
 
+@pytest.mark.parametrize("train,method", [(nsp_tune, "encode_pair"),
+                                          (fine_tune_baseline, "encode_single")])
+def test_dev_encoded_once_per_run(setup, monkeypatch, train, method):
+    vocab, cfg, task, split = setup
+    calls, encode = [], getattr(Tokenizer, method)
+
+    def counted(self, *args):
+        calls.append(args)
+        return encode(self, *args)
+
+    monkeypatch.setattr(Tokenizer, method, counted)
+    per_example = len(task.labels) if train is nsp_tune else 1
+    for epochs in (1, 3):
+        calls.clear()
+        train(EncoderModel(cfg, seed=0), split.train, split.dev, task, vocab,
+              TuningConfig(epochs=epochs, batch_size=2))
+        assert len(calls) == (len(split.train) + len(split.dev)) * per_example
+
+
 class TestAccuracy:
     def test_counts_matches(self):
         exs = [Example(0, "a", "x"), Example(1, "b", "y")]
