@@ -47,7 +47,7 @@ from .scoring import (
     thresholds_from_dev,
 )
 from .tensor import Adam, Tensor, backward, no_grad
-from .tokenizer import Tokenizer, Vocab, build_vocab, insert_masks
+from .tokenizer import Tokenizer, Vocab, build_vocab
 from .tuning import TuningConfig, fine_tune_baseline, nsp_tune
 
 __version__ = "0.1.0"

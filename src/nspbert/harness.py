@@ -173,7 +173,12 @@ def make_synthetic_task(corpus_cfg, task_type, seed, n_documents=250):
 def score_pairs(model, vocab, examples, task, chunk=64):
     """IsNext probability of (text_a, text_b) for every example."""
     tok = Tokenizer(vocab)
-    pairs = [tok.encode_pair(ex.text_a, ex.text_b, task.max_len) for ex in examples]
+    pairs = []
+    for ex in examples:
+        try:
+            pairs.append(tok.encode_pair(ex.text_a, ex.text_b, task.max_len))
+        except ValidationError as e:
+            raise ValidationError(f"example {ex.id!r}: text_b {e}") from e
     qs = run_head(model, pairs, isnext_head, chunk)
     return [ScoredSample(ex.id, float(q), gold=ex.label) for ex, q in zip(examples, qs)]
 

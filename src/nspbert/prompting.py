@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError, from_json, read_json
-from .tokenizer import EncodedPair, insert_masks
 
 PREFIX, SUFFIX = "prefix", "suffix"
 
@@ -70,38 +67,21 @@ def render_pet(x, template, verbalizer, label, tokenizer, max_len):
     verbalization, in order).
     """
     phrase = verbalizer(label)
-    before, after = template.pattern.split("{label}")
-    if template.position == SUFFIX:
-        before = (x + " " + before).strip()
-    else:
-        after = (after + " " + x).strip()
-    v = tokenizer.vocab
-    before_ids = tokenizer.encode(before)
     target_ids = tokenizer.encode(phrase)
-    after_ids = tokenizer.encode(after)
     if not target_ids:
         raise ValidationError(f"verbalization {phrase!r} tokenizes to nothing")
-    needed = 2 + len(before_ids) + len(target_ids) + len(after_ids)
-    if needed > max_len:
-        # Trim the far end of the original text, never the prompt span.
-        overflow = needed - max_len
+    if not tokenizer.vocab.special_ids.isdisjoint(target_ids):
+        raise ValidationError(f"verbalization {phrase!r} has a word outside the vocabulary")
+    before, after = (tokenizer.encode(s) for s in template.pattern.split("{label}"))
+    text = tokenizer.encode(x)
+    try:
         if template.position == SUFFIX:
-            before_ids = before_ids[overflow:]
+            enc = tokenizer.layout([text, before, target_ids, after], max_len, text=0, mask=2)
         else:
-            after_ids = after_ids[: len(after_ids) - overflow]
-    ids = [v.cls_id] + before_ids + target_ids + after_ids + [v.sep_id]
-    attn = [1] * len(ids)
-    pad = max_len - len(ids)
-    ids += [v.pad_id] * pad
-    attn += [0] * pad
-    enc = EncodedPair(
-        np.array(ids, dtype=np.int64),
-        np.zeros(max_len, dtype=np.int64),
-        np.array(attn, dtype=np.int64),
-    )
-    span_start = 1 + len(before_ids)
-    masked = insert_masks(enc, span_start, len(target_ids), v.mask_id, v.special_ids)
-    return masked, target_ids
+            enc = tokenizer.layout([before, target_ids, after, text], max_len, text=3, mask=1)
+    except ValidationError as e:
+        raise ValidationError(f"the prompt {e}") from e
+    return enc, target_ids
 
 
 # The task type each evaluation mode, and NSP-tuning, runs on: candidate
@@ -154,6 +134,8 @@ class TaskConfig:
             raise ValidationError(f"task labels must be unique: {self.labels}")
         if self.k_shot < 1:
             raise ValidationError(f"k_shot must be >= 1, got {self.k_shot}")
+        if self.max_len < 8:
+            raise ValidationError(f"max_len must be >= 8, got {self.max_len}")
         self.answer_mapping()
 
     def answer_mapping(self):

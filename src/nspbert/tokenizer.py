@@ -1,9 +1,16 @@
-"""WordPiece-style tokenization and sentence-pair encoding.
+"""WordPiece-style tokenization and the layout of every model input.
 
-Input layout for pairs is [CLS] A [SEP] B [SEP], with segment id 0 for
-sentence A through its trailing separator and 1 for sentence B and the
-terminal separator.  Truncation drops tokens from the end of sentence A
-only, so prompt text placed in sentence B is never mutilated.
+`Tokenizer.layout` writes every input: [CLS] A [SEP] B [SEP] for a pair,
+with segment id 0 through A's separator and 1 for B and the terminal
+separator, or [CLS] text [SEP] all in segment 0, padded to `max_len`.
+
+One truncation rule holds for all of them: only the example's text is
+cut, and it loses tokens from its end.  The prompt (template words, the
+verbalization or its mask span, and a pair's sentence B) is never cut.
+With a suffix template the text is sentence A; with a prefix template it
+is sentence B, after the prompt.  In a suffix cloze the text loses tokens
+from its start instead, so the words next to the masks stay.  An input
+whose prompt leaves no room for one text token is refused.
 """
 
 from __future__ import annotations
@@ -135,67 +142,50 @@ class Tokenizer:
     def encode(self, text):
         return [self.vocab.index[t] for t in self.tokenize(text)]
 
-    def encode_pair(self, a, b, max_len):
-        """[CLS] A [SEP] B [SEP] + padding. Overflow trims the end of A only."""
-        if max_len < 8:
-            raise ValidationError(f"max_len must be >= 8, got {max_len}")
-        a_ids = self.encode(a)
-        b_ids = self.encode(b)
-        if len(b_ids) > max_len - 4:
-            raise ValidationError(
-                f"sentence B needs {len(b_ids)} tokens but only {max_len - 4} fit; "
-                "prompts must never be truncated"
-            )
-        a_budget = max_len - 3 - len(b_ids)
-        a_ids = a_ids[:a_budget]
-        v = self.vocab
-        ids = [v.cls_id] + a_ids + [v.sep_id] + b_ids + [v.sep_id]
-        segs = [0] * (len(a_ids) + 2) + [1] * (len(b_ids) + 1)
-        attn = [1] * len(ids)
-        pad = max_len - len(ids)
-        ids += [v.pad_id] * pad
-        segs += [0] * pad
-        attn += [0] * pad
-        return EncodedPair(
-            np.array(ids, dtype=np.int64),
-            np.array(segs, dtype=np.int64),
-            np.array(attn, dtype=np.int64),
-        )
+    def encode_pair(self, a, b, max_len, text_in_b=False):
+        """[CLS] A [SEP] B [SEP] + padding; the text is A, or B if
+        `text_in_b`, and only it is cut."""
+        pieces = [self.encode(a), self.encode(b)]
+        return self.layout(pieces, max_len, text=int(text_in_b), split=1)
 
     def encode_single(self, text, max_len):
         """[CLS] text [SEP] + padding, all segment 0. Trims the end of text."""
-        if max_len < 8:
-            raise ValidationError(f"max_len must be >= 8, got {max_len}")
-        ids = self.encode(text)[: max_len - 2]
+        return self.layout([self.encode(text)], max_len)
+
+    def layout(self, pieces, max_len, text=0, split=None, mask=None):
+        """The one writer of a model input: the id lists `pieces` in order
+        between [CLS] and [SEP], padded to `max_len`.
+
+        A [SEP] and segment 1 start at piece `split`, if given.  Piece
+        `text` is the example's text, the only piece ever cut; piece `mask`
+        is written as [MASK]s whose positions are recorded.
+        """
         v = self.vocab
-        full = [v.cls_id] + ids + [v.sep_id]
-        attn = [1] * len(full)
-        pad = max_len - len(full)
-        full += [v.pad_id] * pad
-        attn += [0] * pad
-        return EncodedPair(
-            np.array(full, dtype=np.int64),
-            np.zeros(max_len, dtype=np.int64),
-            np.array(attn, dtype=np.int64),
-        )
-
-
-def insert_masks(pair, span_start, span_len, mask_id, special_ids):
-    """Replace a token span with [MASK] ids, recording the positions."""
-    if span_start < 0 or span_start + span_len > len(pair.ids):
-        raise ValidationError(
-            f"mask span [{span_start}, {span_start + span_len}) outside sequence "
-            f"of length {len(pair.ids)}"
-        )
-    span = range(span_start, span_start + span_len)
-    for pos in span:
-        if int(pair.ids[pos]) in special_ids:
-            raise ValidationError(f"mask span covers a special token at position {pos}")
-    ids = pair.ids.copy()
-    ids[span_start : span_start + span_len] = mask_id
-    return EncodedPair(
-        ids,
-        pair.segment_ids.copy(),
-        pair.attention_mask.copy(),
-        mask_positions=list(span),
-    )
+        specials = 2 if split is None else 3
+        kept = sum(map(len, pieces)) - len(pieces[text])
+        room = max_len - specials - kept
+        if room < 1:
+            raise ValidationError(
+                f"needs {kept} tokens but max_len {max_len} fits at most "
+                f"{max_len - specials - 1}, and it is never truncated")
+        ids, positions, b_start = [v.cls_id], [], max_len
+        for i, piece in enumerate(pieces):
+            if i == split:
+                ids.append(v.sep_id)
+                b_start = len(ids)
+            if i == text and len(piece) > room:
+                # A cloze's text keeps the words next to its masks.
+                cut_start = mask is not None and text < mask
+                piece = piece[len(piece) - room:] if cut_start else piece[:room]
+            if i == mask:
+                positions = list(range(len(ids), len(ids) + len(piece)))
+                piece = [v.mask_id] * len(piece)
+            ids += piece
+        ids.append(v.sep_id)
+        n = len(ids)
+        segs = np.zeros(max_len, dtype=np.int64)
+        segs[b_start:n] = 1
+        attn = np.zeros(max_len, dtype=np.int64)
+        attn[:n] = 1
+        ids += [v.pad_id] * (max_len - n)
+        return EncodedPair(np.array(ids, dtype=np.int64), segs, attn, positions)

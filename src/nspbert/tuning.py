@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import DivergenceError, ValidationError
 from .model import ISNEXT, EncoderModel, _trunc_normal, init_arrays
-from .prompting import render_single
+from .prompting import PREFIX, render_single
 from .tensor import Tensor
 from .tokenizer import Tokenizer
 
@@ -56,12 +56,13 @@ class TuningConfig:
 def encode_candidates(text, task, tok):
     """One encoded (text, prompt) pair per task label, in label order."""
     pairs = []
+    text_in_b = task.template.position == PREFIX
     for j, label in enumerate(task.labels):
         try:
             a, b = render_single(text, task.template, task.verbalizer, label)
-            pairs.append(tok.encode_pair(a, b, task.max_len))
+            pairs.append(tok.encode_pair(a, b, task.max_len, text_in_b))
         except ValidationError as e:
-            raise ValidationError(f"candidate {j} ({label!r}): {e}") from e
+            raise ValidationError(f"candidate {j} ({label!r}): the prompt {e}") from e
     return pairs
 
 

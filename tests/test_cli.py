@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from nspbert.cli import main
 from nspbert.corpus import load_corpus
-from nspbert.harness import DEFAULT_SEEDS
+from nspbert.harness import DEFAULT_SEEDS, kshot_split, load_jsonl
 from nspbert.model import EncoderConfig, EncoderModel
+from nspbert.prompting import TaskConfig
 from nspbert.tokenizer import Vocab
 from nspbert.tuning import VARIANTS
 
@@ -460,6 +461,38 @@ def test_pretrain_refuses_long_sentence_before_step_0(tmp_path, capsys, monkeypa
     err = assert_one_line_exit_2(code, capsys)
     assert "'doc-7' sentence 1 has 60 tokens" in err and "max_len 24" in err
     assert forwards == [] and not (tmp_path / "out.nsp").exists()
+
+
+def test_pair_text_b_too_long_names_the_example(workdir, tmp_path, capsys):
+    """text_b is the data's own text and is never cut: a pair whose text_b
+    does not fit is refused with its id, and the message speaks of no prompt."""
+    d, _ = workdir
+    task = TaskConfig.load(write_json(tmp_path / "task.json", PAIR_TASK))
+    rows = [json.loads(l) for l in (d / "pairs.jsonl").read_text().splitlines()]
+    long_id = kshot_split(load_jsonl(d / "pairs.jsonl", task), 1, 0).test[0].id
+    for row in rows:
+        if row["id"] == long_id:
+            row["text_b"] = " ".join(["t0w00"] * 96)
+    (tmp_path / "pairs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    code = run(["--config", str(tmp_path / "task.json"), "--checkpoint", str(d / "model.nsp"),
+                "eval-zeroshot", "--mode", "samples_contrast",
+                "--data", str(tmp_path / "pairs.jsonl")])
+    err = assert_one_line_exit_2(code, capsys)
+    assert f"example {long_id!r}: text_b needs 96 tokens but max_len 24 fits at most 20" in err
+    assert "prompt" not in err
+
+
+def test_pet_prompt_that_fills_max_len_exits_2(workdir, tmp_path, capsys):
+    """A cloze prompt that leaves no room for the text is refused, not scored."""
+    d, _ = workdir
+    pattern = "{label} " + " ".join(["t1w00"] * 21)
+    task = write_json(tmp_path / "task.json", {**TASK, "template": {"pattern": pattern}})
+    capsys.readouterr()
+    code = run(["--config", task, "--checkpoint", str(d / "model.nsp"), "eval-zeroshot",
+                "--mode", "zero_shot_pet", "--data", str(d / "data.jsonl")])
+    err = assert_one_line_exit_2(code, capsys)
+    assert "label 0 ('topic0'): the prompt needs 22 tokens but max_len 24 fits at most 21" in err
 
 
 def test_malformed_json_config_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from nspbert.errors import (
     ValidationError,
 )
 from nspbert.model import PRESETS, EncoderConfig, EncoderModel, ISNEXT, NOTNEXT
+from nspbert.prompting import PromptTemplate, Verbalizer, render_pet
 from nspbert.tokenizer import Tokenizer, build_vocab
 from nspbert.tuning import isnext_head, run_head
 from conftest import fd_grad, rel_err
@@ -110,10 +111,9 @@ class TestNspHead:
 
 class TestMlmHead:
     def test_mask_position_distribution(self, tiny_model, tok):
-        from nspbert.tokenizer import insert_masks
-
-        pair = tok.encode_pair("alpha beta gamma", "delta", 16)
-        masked = insert_masks(pair, 1, 1, tok.vocab.mask_id, tok.vocab.special_ids)
+        masked, _ = render_pet("alpha beta gamma", PromptTemplate("{label} delta", "prefix"),
+                               Verbalizer({"x": "alpha"}), "x", tok, 16)
+        assert masked.mask_positions == [1]
         with T.no_grad():
             logits = tiny_model.mlm_logits(tiny_model.forward_batch([masked]),
                                            [0], masked.mask_positions)

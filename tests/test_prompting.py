@@ -15,6 +15,7 @@ from nspbert.prompting import (
     render_single,
 )
 from nspbert.tokenizer import Tokenizer, build_vocab
+from nspbert.tuning import encode_candidates
 
 
 class TestVerbalizer:
@@ -117,6 +118,35 @@ class TestRenderPet:
         enc, _ = render_pet("about sports", t, verb, "bad", tok, 24)
         # mask comes right after [CLS]
         assert enc.mask_positions == [1]
+        assert enc.ids[1] == tok.vocab.mask_id
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    def test_restored_targets_give_the_filled_template(self, tok, position):
+        t = PromptTemplate("this is {label} news", position)
+        verb = Verbalizer({"tech": "tech nology"})
+        enc, targets = render_pet("talk today", t, verb, "tech", tok, 24)
+        restored = enc.ids.copy()
+        restored[enc.mask_positions] = targets
+        a, b = render_single("talk today", t, verb, "tech")
+        np.testing.assert_array_equal(restored, tok.encode_single(a + " " + b, 24).ids)
+
+    def test_out_of_vocabulary_verbalization_rejected(self, tok):
+        # Its [UNK] target would put a special token under the mask span.
+        verb = Verbalizer({"sports": "zzzz"})
+        with pytest.raises(ValidationError, match="'zzzz' has a word outside") as e:
+            render_pet("the game", self.TEMPLATE, verb, "sports", tok, 24)
+        assert "\n" not in str(e.value)
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    def test_prompt_that_fills_max_len_rejected(self, tok, position):
+        """A prompt of max_len - 2 tokens leaves no room for the text."""
+        t = PromptTemplate("{label} the game was good news", position)
+        verb = Verbalizer({"bad": "bad"})
+        with pytest.raises(ValidationError, match="needs 6 tokens but max_len 8 fits at most 5"):
+            render_pet("about sports", t, verb, "bad", tok, 8)
+        enc, _ = render_pet("about sports", t, verb, "bad", tok, 9)
+        text = [i for i in enc.ids if i in tok.encode("about sports")]
+        assert text == tok.encode("sports" if position == "suffix" else "about")
 
     def test_overflow_trims_text_not_prompt(self, tok):
         verb = Verbalizer({"sports": "sports"})
@@ -135,6 +165,35 @@ class TestRenderPet:
         assert np.all(enc.segment_ids == 0)
 
 
+class TestEncodeCandidates:
+    VERB = Verbalizer({"sports": "sports", "tech": "tech nology"})
+
+    def _task(self, pattern, position, max_len):
+        return TaskConfig(task_type="single", labels=["sports", "tech"],
+                          template=PromptTemplate(pattern, position), verbalizer=self.VERB,
+                          max_len=max_len)
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    def test_cuts_the_text_and_keeps_the_prompt(self, tok, position):
+        v = tok.vocab
+        text = " ".join(["game"] * 30)
+        pairs = encode_candidates(text, self._task("{label} is a report", position, 12), tok)
+        for pair, phrase in zip(pairs, ["sports", "tech nology"]):
+            prompt = tok.encode(phrase + " is a report")
+            kept = tok.encode("game") * (12 - 3 - len(prompt))
+            a, b = (kept, prompt) if position == "suffix" else (prompt, kept)
+            assert list(pair.ids) == [v.cls_id, *a, v.sep_id, *b, v.sep_id]
+            assert list(pair.segment_ids) == [0] * (len(a) + 2) + [1] * (len(b) + 1)
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    def test_prompt_without_room_for_text_rejected(self, tok, position):
+        task = self._task("{label} the game was good news", position, 10)
+        with pytest.raises(ValidationError) as e:
+            encode_candidates("about sports", task, tok)
+        assert str(e.value) == ("candidate 1 ('tech'): the prompt needs 7 tokens but "
+                                "max_len 10 fits at most 6, and it is never truncated")
+
+
 class TestTaskConfig:
     def _task(self):
         return TaskConfig(
@@ -150,6 +209,10 @@ class TestTaskConfig:
         path.write_text(json.dumps(task.to_dict()))
         loaded = TaskConfig.load(path)
         assert loaded.to_dict() == task.to_dict()
+
+    def test_max_len_below_8_rejected(self):
+        with pytest.raises(ValidationError, match="max_len must be >= 8, got 7"):
+            TaskConfig(task_type="pair", labels=["a", "b"], max_len=7)
 
     def test_unknown_task_type(self):
         with pytest.raises(ValidationError, match="task_type"):

@@ -1,4 +1,4 @@
-"""Vocab building, WordPiece encoding, pair encoding and mask insertion."""
+"""Vocab building, WordPiece encoding and the layout of every model input."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspbert.errors import ValidationError
-from nspbert.tokenizer import (
-    SPECIAL_TOKENS,
-    EncodedPair,
-    Tokenizer,
-    Vocab,
-    build_vocab,
-    insert_masks,
-)
+from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer, render_pet
+from nspbert.tokenizer import SPECIAL_TOKENS, Tokenizer, Vocab, build_vocab
+from nspbert.tuning import encode_candidates
 
 
 class TestBuildVocab:
@@ -117,18 +112,91 @@ class TestEncodePair:
         with pytest.raises(ValidationError, match="truncated"):
             tok.encode_pair("x", " ".join(["news"] * 20), 16)
 
+    def test_text_in_b_cuts_b_and_keeps_a(self, tok):
+        v = tok.vocab
+        pair = tok.encode_pair("good news today", " ".join(["sports"] * 30), 12,
+                               text_in_b=True)
+        a_ids = tok.encode("good news today")
+        assert list(pair.ids) == ([v.cls_id] + a_ids + [v.sep_id]
+                                  + tok.encode("sports") * 6 + [v.sep_id])
+        assert list(pair.segment_ids) == [0] * 5 + [1] * 7
+
+    def test_a_that_leaves_no_room_rejected(self, tok):
+        with pytest.raises(ValidationError, match="needs 9 tokens .* at most 8"):
+            tok.encode_pair(" ".join(["news"] * 9), "x", 12, text_in_b=True)
+
     @given(
         a=st.text(alphabet="abcdefg ", min_size=0, max_size=40),
-        b=st.text(alphabet="abcdefg ", min_size=0, max_size=8),
+        b=st.text(alphabet="abcdefg ", min_size=0, max_size=30),
+        phrase=st.sampled_from(["a", "b c", "abc def g"]),
+        position=st.sampled_from(["prefix", "suffix"]),
+        max_len=st.integers(8, 24),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_invariants_hold_for_random_inputs(self, a, b):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_invariants_hold_for_random_inputs(self, a, b, phrase, position, max_len):
+        """Every input is [CLS] first [SEP] (second [SEP]) padded to max_len.
+        Only the text `a` is cut: it keeps its first tokens, or its last in a
+        suffix cloze; the prompt stays whole and contiguous.  An input is
+        refused exactly when its prompt leaves no room for one text token."""
         t = Tokenizer(build_vocab(["a b c d e f g abc def"], max_size=64))
-        pair = t.encode_pair(a, b, 24)
-        assert len(pair) == 24
-        segs = pair.segment_ids
-        assert np.all(np.diff(np.where(segs == 1)[0]) == 1) if (segs == 1).any() else True
-        np.testing.assert_array_equal(pair.attention_mask == 1, pair.ids != t.vocab.pad_id)
+        v = t.vocab
+        text = t.encode(a)
+        half = len(b) // 2
+        template = PromptTemplate(b[:half] + " {label} " + b[half:], position)
+        verb = Verbalizer({"x": phrase, "y": phrase + " d"})
+        task = TaskConfig("single", ["x", "y"], template, verb, max_len=max_len)
+
+        def check(build, first, second=None, cut_start=False):
+            """`first` and `second` hold None where the text goes."""
+            pair = second is not None
+            prompt = [i for i in first + (second or []) if i is not None]
+            room = max_len - (3 if pair else 2) - len(prompt)
+            if room < 1:
+                with pytest.raises(ValidationError, match="never truncated"):
+                    build()
+                return None
+            kept = text[len(text) - room:] if cut_start and len(text) > room else text[:room]
+            first, second = ([kept if i is None else [i] for i in part]
+                             for part in (first, second or []))
+            real = [v.cls_id, *sum(first, []), v.sep_id]
+            if pair:
+                real += [*sum(second, []), v.sep_id]
+            enc = build()
+            for arr in (enc.ids, enc.segment_ids, enc.attention_mask):
+                assert len(arr) == max_len
+            assert list(enc.ids) == real + [v.pad_id] * (max_len - len(real))
+            assert list(enc.attention_mask) == [1] * len(real) + [0] * (max_len - len(real))
+            n_a = len(sum(first, [])) + 2 if pair else len(real)
+            assert list(enc.segment_ids) == ([0] * n_a + [1] * (len(real) - n_a)
+                                             + [0] * (max_len - len(real)))
+            return enc
+
+        # A pair: B is never cut; the text is A.
+        check(lambda: t.encode_pair(a, b, max_len), [None], t.encode(b))
+        check(lambda: t.encode_single(a, max_len), [None])
+        # NSP candidates: the text is A with a suffix template, B with a prefix one.
+        prompts = [t.encode(template.pattern.format(label=verb(y))) for y in task.labels]
+        room = min(max_len - 3 - len(p) for p in prompts)
+        if room < 1:
+            with pytest.raises(ValidationError, match="candidate .* never truncated"):
+                encode_candidates(a, task, t)
+        else:
+            for p, enc in zip(prompts, encode_candidates(a, task, t)):
+                parts = ([None], p) if position == "suffix" else (p, [None])
+                got = check(lambda: enc, *parts)
+                assert got.mask_positions == []
+        # PET: the mask span replaces the verbalization; a suffix cloze cuts
+        # the start of the text.
+        before, after = (t.encode(s) for s in template.pattern.split("{label}"))
+        for label in task.labels:
+            targets = t.encode(verb(label))
+            prompt = before + [v.mask_id] * len(targets) + after
+            first = [None] + prompt if position == "suffix" else prompt + [None]
+            enc = check(lambda: render_pet(a, template, verb, label, t, max_len)[0],
+                        first, cut_start=position == "suffix")
+            if enc is not None:
+                masks = [i for i, x in enumerate(enc.ids) if x == v.mask_id]
+                assert enc.mask_positions == masks and len(masks) == len(targets)
 
     def test_prefix_stability(self, tok):
         base = tok.encode("good news")
@@ -137,26 +205,18 @@ class TestEncodePair:
 
 
 class TestInsertMasks:
+    """`layout` writes a masked piece as [MASK]s and records where."""
+
     def test_single_mask(self, tok):
-        pair = tok.encode_pair("good news", "bad sports", 16)
-        masked = insert_masks(pair, 1, 1, tok.vocab.mask_id, tok.vocab.special_ids)
+        span, text = tok.encode("good"), tok.encode("news")
+        masked = tok.layout([span, text], 16, text=1, mask=0)
         assert masked.mask_positions == [1]
         assert masked.ids[1] == tok.vocab.mask_id
+        assert list(masked.ids[2:4]) == text + [tok.vocab.sep_id]
 
     def test_two_consecutive_masks(self, tok):
-        pair = tok.encode_pair("good news today", "bad sports", 20)
-        masked = insert_masks(pair, 1, 2, tok.vocab.mask_id, tok.vocab.special_ids)
+        span, text = tok.encode("good news"), tok.encode("today")
+        masked = tok.layout([span, text], 20, text=1, mask=0)
         assert masked.mask_positions == [1, 2]
-
-    def test_round_trip_restoration(self, tok):
-        pair = tok.encode_pair("good news today", "bad sports", 20)
-        masked = insert_masks(pair, 1, 2, tok.vocab.mask_id, tok.vocab.special_ids)
-        restored = masked.ids.copy()
-        for pos in masked.mask_positions:
-            restored[pos] = pair.ids[pos]
-        np.testing.assert_array_equal(restored, pair.ids)
-
-    def test_special_token_span_rejected(self, tok):
-        pair = tok.encode_pair("good news", "bad sports", 16)
-        with pytest.raises(ValidationError, match="special"):
-            insert_masks(pair, 0, 1, tok.vocab.mask_id, tok.vocab.special_ids)
+        assert list(masked.ids[1:3]) == [tok.vocab.mask_id] * 2
+        assert masked.ids[3] == text[0]
