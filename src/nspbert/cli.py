@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -59,6 +60,10 @@ class ReportConfig:
         if not self.seeds or min(self.seeds) < 0:
             raise ValidationError(f"seeds must be a nonempty list of integers >= 0, "
                                   f"got {list(self.seeds)}")
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be a finite number > 0, got {self.lr}")
 
 
 @click.group()

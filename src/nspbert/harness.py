@@ -24,7 +24,8 @@ from .scoring import (
     LabelDistribution,
     ScoredSample,
     apply_thresholds,
-    pet_score,
+    cloze_inputs,
+    pet_head,
     samples_contrast,
     thresholds_from_dev,
 )
@@ -43,7 +44,7 @@ from .tuning import (
 
 DEFAULT_SEEDS = (13, 21, 42, 87, 100)
 
-EVAL_MODES = ("zero_shot_nsp", "zero_shot_pet", "samples_contrast", "thresholds", "tuned")
+EVAL_MODES = ("zero_shot_nsp", "zero_shot_pet", "samples_contrast", "thresholds")
 
 
 @dataclass
@@ -195,14 +196,11 @@ def evaluate(model, vocab, test, task, mode, dev=None):
     if not test:
         raise ValidationError("empty test set")
     task.check_mode(mode)
-    if mode in ("zero_shot_nsp", "tuned"):
-        preds = predict_candidates_batch(model, vocab, test, task)
-        return accuracy(preds, test)
-    if mode == "zero_shot_pet":
-        preds = []
-        for ex in test:
-            probs = pet_score(model, vocab, ex.text_a, task)
-            preds.append(task.labels[int(np.argmax(probs))])
+    if mode in ("zero_shot_nsp", "zero_shot_pet"):
+        head, inputs = isnext_head, None
+        if mode == "zero_shot_pet":
+            head, inputs = pet_head, cloze_inputs([ex.text_a for ex in test], task, vocab)
+        preds = predict_candidates_batch(model, vocab, test, task, head=head, pairs=inputs)
         return accuracy(preds, test)
     if dev is None:
         raise ValidationError(f"mode {mode!r} requires a dev set")

@@ -7,6 +7,7 @@ single-threaded and bit-deterministic given its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -67,6 +68,8 @@ class PretrainConfig:
         if self.steps < 1 or self.batch_size < 1:
             raise ValidationError(f"steps and batch_size must be >= 1, got {self.steps} "
                                   f"and {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be a finite number > 0, got {self.lr}")
 
 
 def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_size,

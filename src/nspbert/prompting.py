@@ -62,10 +62,7 @@ def render_single(x, template, verbalizer, label):
 
 def render_pet(x, template, verbalizer, label, tokenizer, max_len):
     """Single-sequence cloze input: the verbalized span replaced by [MASK]s.
-
-    Returns (encoded input with mask positions, target token ids of the
-    verbalization, in order).
-    """
+    The input records their positions and the verbalization's ids, in order."""
     phrase = verbalizer(label)
     target_ids = tokenizer.encode(phrase)
     if not target_ids:
@@ -76,12 +73,10 @@ def render_pet(x, template, verbalizer, label, tokenizer, max_len):
     text = tokenizer.encode(x)
     try:
         if template.position == SUFFIX:
-            enc = tokenizer.layout([text, before, target_ids, after], max_len, text=0, mask=2)
-        else:
-            enc = tokenizer.layout([before, target_ids, after, text], max_len, text=3, mask=1)
+            return tokenizer.layout([text, before, target_ids, after], max_len, text=0, mask=2)
+        return tokenizer.layout([before, target_ids, after, text], max_len, text=3, mask=1)
     except ValidationError as e:
         raise ValidationError(f"the prompt {e}") from e
-    return enc, target_ids
 
 
 # The task type each evaluation mode, and NSP-tuning, runs on: candidate
@@ -90,7 +85,6 @@ def render_pet(x, template, verbalizer, label, tokenizer, max_len):
 MODE_TASK_TYPE = {
     "zero_shot_nsp": "single",
     "zero_shot_pet": "single",
-    "tuned": "single",
     "nsp_tune": "single",
     "samples_contrast": "pair",
     "thresholds": "pair",

@@ -1,5 +1,7 @@
 """Answer mapping: candidates-contrast, samples-contrast, dev-set
-thresholds, and the PET-style multi-mask scoring baseline.
+thresholds, and the PET-style multi-mask scoring baseline, whose cloze
+inputs and head predict through `predict_candidates_batch` as NSP
+candidates do.
 
 Candidates-contrast picks, per sample, the candidate prompt with the
 highest IsNext probability.  Samples-contrast ranks a batch of samples
@@ -181,40 +183,38 @@ def apply_thresholds(thresholds, q):
 # PET-style multi-mask scoring
 
 
+def cloze_inputs(texts, task, vocab):
+    """Every text's cloze inputs, |Y| per text in label order."""
+    tok = Tokenizer(vocab)
+    inputs = []
+    for x in texts:
+        for j, label in enumerate(task.labels):
+            try:
+                inputs.append(render_pet(x, task.template, task.verbalizer, label, tok,
+                                         task.max_len))
+            except ValidationError as e:
+                raise ValidationError(f"label {j} ({label!r}): {e}") from e
+    return inputs
+
+
+def pet_head(model, hidden, batch):
+    """Per cloze input, the product of its target ids' MLM probabilities at
+    its mask positions, taken in position order."""
+    rows = [(b, pos, tid) for b, enc in enumerate(batch)
+            for pos, tid in zip(enc.mask_positions, enc.mask_targets)]
+    batch_idx, pos_idx, target_ids = (np.array(col) for col in zip(*rows))
+    probs = T.softmax_rows(model.mlm_logits(hidden, batch_idx, pos_idx)).data
+    products = np.ones(len(batch))
+    np.multiply.at(products, batch_idx, probs[np.arange(len(rows)), target_ids])
+    return products
+
+
 def pet_score(model, vocab, x, task):
     """Per-label probabilities: softmax over labels of the product of each
     target token's probability at its mask position.  The |Y| cloze inputs
     share one forward pass."""
-    tok = Tokenizer(vocab)
-    inputs, targets = [], []
-    for j, label in enumerate(task.labels):
-        try:
-            masked, target_ids = render_pet(
-                x, task.template, task.verbalizer, label, tok, task.max_len
-            )
-        except ValidationError as e:
-            raise ValidationError(f"label {j} ({label!r}): {e}") from e
-        inputs.append(masked)
-        targets.append(target_ids)
-    products = run_head(model, inputs, _mask_product_head(inputs, targets), len(inputs))
-    out = T.softmax_rows(T.Tensor(products.astype(np.float32)))
-    return out.data.astype(float)
-
-
-def _mask_product_head(inputs, targets):
-    """Per input, the product of its target ids' MLM probabilities at its
-    mask positions, taken in position order."""
-    rows = [(b, pos, tid) for b, (enc, tids) in enumerate(zip(inputs, targets))
-            for pos, tid in zip(enc.mask_positions, tids)]
-    batch_idx, pos_idx, target_ids = (np.array(col) for col in zip(*rows))
-
-    def head(model, hidden):
-        probs = T.softmax_rows(model.mlm_logits(hidden, batch_idx, pos_idx)).data
-        products = [1.0] * len(inputs)
-        for b, p in zip(batch_idx, probs[np.arange(len(rows)), target_ids]):
-            products[b] *= float(p)
-        return np.array(products)
-    return head
+    products = run_head(model, cloze_inputs([x], task, vocab), pet_head, len(task.labels))
+    return T.softmax_rows(T.Tensor(products.astype(np.float32))).data.astype(float)
 
 
 # ---------------------------------------------------------------------------

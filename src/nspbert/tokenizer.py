@@ -94,12 +94,14 @@ def build_vocab(corpus, max_size=8192, min_freq=1):
 
 @dataclass
 class EncodedPair:
-    """Token ids plus segment ids, attention mask and recorded mask positions."""
+    """Token ids plus segment ids, attention mask, and a cloze input's mask
+    positions with the ids they hide."""
 
     ids: np.ndarray
     segment_ids: np.ndarray
     attention_mask: np.ndarray
     mask_positions: list = field(default_factory=list)
+    mask_targets: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.ids)
@@ -158,7 +160,7 @@ class Tokenizer:
 
         A [SEP] and segment 1 start at piece `split`, if given.  Piece
         `text` is the example's text, the only piece ever cut; piece `mask`
-        is written as [MASK]s whose positions are recorded.
+        is written as [MASK]s whose positions and hidden ids are recorded.
         """
         v = self.vocab
         specials = 2 if split is None else 3
@@ -168,7 +170,7 @@ class Tokenizer:
             raise ValidationError(
                 f"needs {kept} tokens but max_len {max_len} fits at most "
                 f"{max_len - specials - 1}, and it is never truncated")
-        ids, positions, b_start = [v.cls_id], [], max_len
+        ids, positions, targets, b_start = [v.cls_id], [], [], max_len
         for i, piece in enumerate(pieces):
             if i == split:
                 ids.append(v.sep_id)
@@ -179,7 +181,7 @@ class Tokenizer:
                 piece = piece[len(piece) - room:] if cut_start else piece[:room]
             if i == mask:
                 positions = list(range(len(ids), len(ids) + len(piece)))
-                piece = [v.mask_id] * len(piece)
+                piece, targets = [v.mask_id] * len(piece), list(piece)
             ids += piece
         ids.append(v.sep_id)
         n = len(ids)
@@ -188,4 +190,4 @@ class Tokenizer:
         attn = np.zeros(max_len, dtype=np.int64)
         attn[:n] = 1
         ids += [v.pad_id] * (max_len - n)
-        return EncodedPair(np.array(ids, dtype=np.int64), segs, attn, positions)
+        return EncodedPair(np.array(ids, dtype=np.int64), segs, attn, positions, targets)

@@ -7,9 +7,10 @@ a sample's instances always share a training batch; the decoupled
 variant shuffles instances globally.  The final model is the best
 dev-accuracy epoch.
 
-Every scoring and prediction path in the package forwards through
-`run_head`, a batched no-grad forward that reads one head's output, and
-candidate prompts are encoded by `encode_candidates` alone.
+Every scoring path forwards through `run_head`, a batched no-grad forward
+whose head receives each chunk's hidden states and inputs, and every label
+prediction is `predict_candidates_batch`'s argmax over an example's head
+scores.  Candidate prompts are encoded by `encode_candidates` alone.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ def encode_candidates(text, task, tok):
     return pairs
 
 
-def isnext_head(model, hidden):
+def isnext_head(model, hidden, batch):
     """IsNext probability of each input."""
     return model.nsp_probs(hidden).data[:, ISNEXT]
 
 
-def nsp_head(model, hidden):
+def nsp_head(model, hidden, batch):
     """(IsNext, NotNext) probabilities of each input."""
     return model.nsp_probs(hidden).data
 
@@ -82,23 +83,23 @@ def _fresh_logits(model, hidden, extra):
     return T.add(T.matmul(h, T.transpose(extra["head_w"], (1, 0))), extra["head_b"])
 
 
-def own_logit_head(extra):
-    """Fresh-head score of each candidate: candidate j reads output j on its
-    own input, so chunks must hold whole candidate sets."""
-    def head(model, hidden):
+def fresh_head(extra, own=False):
+    """Fresh-head logits of each input, a |Y|-wide row; with `own`, candidate
+    j's output j on its own input, so chunks must hold whole candidate sets."""
+    def head(model, hidden, batch):
         logits = _fresh_logits(model, hidden, extra).data
         rows = np.arange(len(logits))
-        return logits[rows, rows % logits.shape[1]]
+        return logits[rows, rows % logits.shape[1]] if own else logits
     return head
 
 
 def run_head(model, inputs, head, chunk):
-    """head(model, hidden) of encoded inputs, forwarded `chunk` at a time
-    without gradients, concatenated into one numpy array."""
+    """head(model, hidden, batch) of encoded inputs, forwarded `chunk` at a
+    time without gradients, concatenated into one numpy array."""
     out = []
     with T.no_grad():
-        for start in range(0, len(inputs), chunk):
-            out.append(head(model, model.forward_batch(inputs[start : start + chunk])))
+        for batch in (inputs[i : i + chunk] for i in range(0, len(inputs), chunk)):
+            out.append(head(model, model.forward_batch(batch), batch))
     return np.concatenate(out) if out else np.empty(0)
 
 
@@ -114,9 +115,9 @@ def _candidate_inputs(examples, task, vocab):
 
 def predict_candidates_batch(model, vocab, examples, task, chunk=64, head=isnext_head,
                              pairs=None):
-    """Candidates-contrast prediction: per example, the label whose candidate
-    scores highest; `chunk` examples' candidates share a forward pass.  `pairs`
-    are the examples' encoded candidates, encoded here when not given."""
+    """Per example, the label of its highest head score: one per candidate, or
+    a |Y|-wide row per single input.  `chunk` * |Y| inputs share a forward.
+    `pairs` are the examples' inputs, NSP candidates encoded here if not given."""
     if pairs is None:
         pairs = _candidate_inputs(examples, task, vocab)
     n_labels = len(task.labels)
@@ -148,13 +149,9 @@ class TuneResult:
     def predict(self, examples, task, vocab, inputs=None):
         if inputs is None:
             inputs = self.encode(examples, task, vocab)
-        if self.variant == "fine_tune":
-            logits = run_head(self.model, inputs,
-                              lambda model, h: _fresh_logits(model, h, self.extra).data, 128)
-            return [task.labels[i] for i in logits.argmax(axis=1)]
         head = isnext_head
-        if self.variant == "linear_head_softmax":
-            head = own_logit_head(self.extra)
+        if self.variant in ("fine_tune", "linear_head_softmax"):
+            head = fresh_head(self.extra, own=self.variant == "linear_head_softmax")
         return predict_candidates_batch(self.model, vocab, examples, task, head=head,
                                         pairs=inputs)
 

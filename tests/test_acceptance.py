@@ -463,9 +463,9 @@ class TestCriterion8:
                 products = []
                 factor_lists = []
                 for label in task.labels:
-                    masked, targets = render_pet(x, task.template,
-                                                 task.verbalizer, label, tok,
-                                                 task.max_len)
+                    masked = render_pet(x, task.template, task.verbalizer, label, tok,
+                                        task.max_len)
+                    targets = tok.encode(task.verbalizer(label))
                     with T.no_grad():
                         logits = model.mlm_logits(
                             model.forward_batch([masked]),

@@ -301,10 +301,25 @@ BAD_INPUTS = {
     "report-seed-float": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "k": 1,
                                                     "seeds": [1.5]}]),
     "report-no-seeds": (TASK, "data", ["report", {"mode": "zero_shot_nsp", "k": 1, "seeds": []}]),
+    "report-epochs-0": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 1, "seeds": [1],
+                                                  "epochs": 0}]),
+    "report-epochs-negative": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 1,
+                                                         "seeds": [1], "epochs": -1}]),
+    "report-lr-0": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 1, "seeds": [1],
+                                              "lr": 0}]),
+    "report-lr-negative": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 1,
+                                                     "seeds": [1], "lr": -0.5}]),
+    "report-lr-nan": (TASK, "data", ["report", {"mode": "nsp_tuning", "k": 1, "seeds": [1],
+                                                "lr": float("nan")}]),
+    "report-mode-tuned": (TASK, "data", ["report", {"mode": "tuned", "k": 1, "seeds": [1]}]),
 }
 # The key each unknown-key case's error must name.
 UNKNOWN_KEYS = {"unknown-task-key": "k_shots", "unknown-template-key": "positon",
                 "unknown-mapping-key": "batchsize", "report-unknown-key": "epoch"}
+# Text the error of each of these cases must contain.
+ERROR_TEXT = {"report-epochs-0": "epochs must be >= 1", "report-epochs-negative": "epochs",
+              "report-lr-0": "lr must be a finite number > 0", "report-lr-negative": "lr",
+              "report-lr-nan": "lr", "report-mode-tuned": "'tuned'"}
 
 
 class TestBadInput:
@@ -324,6 +339,7 @@ class TestBadInput:
         err = assert_one_line_exit_2(code, capsys)
         if case in UNKNOWN_KEYS:
             assert f"key {UNKNOWN_KEYS[case]!r}" in err
+        assert ERROR_TEXT.get(case, "") in err
 
 
 def assert_one_line_exit_2(code, capsys):
@@ -356,6 +372,10 @@ BAD_CONFIGS = {
     "pretrain-zero-steps": ({"corpus": TINY_CORPUS, "steps": 0}, ["pretrain"], "steps"),
     "pretrain-zero-batch": ({"corpus": TINY_CORPUS, "steps": 1, "batch_size": 0}, ["pretrain"],
                             "batch_size"),
+    "pretrain-zero-lr": ({"corpus": TINY_CORPUS, "steps": 1, "lr": 0}, ["pretrain"],
+                         "lr must be a finite number > 0, got 0"),
+    "pretrain-negative-lr": ({"corpus": TINY_CORPUS, "steps": 1, "lr": -1}, ["pretrain"],
+                             "lr must be a finite number > 0, got -1"),
     "gen-corpus-zero-words_per_topic": ({"words_per_topic": 0}, ["gen-corpus"],
                                         "words_per_topic must be >= 1"),
     "gen-corpus-zero-shared_words": ({"shared_words": 0}, ["gen-corpus"],

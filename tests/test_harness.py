@@ -61,7 +61,8 @@ def tiny_model():
 class TestDefaults:
     def test_seeds_and_modes(self):
         assert DEFAULT_SEEDS == (13, 21, 42, 87, 100)
-        assert len(EVAL_MODES) == 5
+        assert EVAL_MODES == ("zero_shot_nsp", "zero_shot_pet", "samples_contrast",
+                              "thresholds")
 
 
 class TestLoadJsonl:
@@ -215,9 +216,27 @@ class TestEvaluate:
             max_len=16,
         )
         test = [Example(0, "gamma delta", "alpha"), Example(1, "epsi zeta", "beta")]
-        for mode in ("zero_shot_nsp", "zero_shot_pet", "tuned"):
+        for mode in ("zero_shot_nsp", "zero_shot_pet"):
             acc = evaluate(model, vocab, test, task, mode)
             assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("mode", ["zero_shot_nsp", "zero_shot_pet"])
+    def test_candidate_modes_forward_64_examples_at_a_time(self, tiny_model, monkeypatch,
+                                                           mode):
+        model, vocab = tiny_model
+        task = TaskConfig(
+            task_type="single", labels=["alpha", "beta"],
+            template=PromptTemplate("this is {label} news"),
+            verbalizer=Verbalizer({"alpha": "alpha", "beta": "beta"}),
+            max_len=16,
+        )
+        test = [Example(i, WORDS[i % 6], "alpha") for i in range(65)]
+        calls = []
+        forward = EncoderModel.forward_ids
+        monkeypatch.setattr(EncoderModel, "forward_ids",
+                            lambda self, *a: calls.append(len(a[0])) or forward(self, *a))
+        evaluate(model, vocab, test, task, mode)
+        assert calls == [128, 2]
 
     def test_score_pairs_attaches_gold(self, tiny_model, pair_task):
         model, vocab = tiny_model

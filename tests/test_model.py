@@ -73,7 +73,7 @@ class TestForward:
                 alone = tiny_model.forward_ids(pair.ids[None], pair.segment_ids[None],
                                                pair.attention_mask[None])
                 assert alone.shape[1] == 16
-                q = isnext_head(tiny_model, alone)[0]
+                q = isnext_head(tiny_model, alone, [pair])[0]
                 assert abs(together[i] - q) < 1e-6
                 n = int(pair.attention_mask.sum())
                 assert np.max(np.abs(hidden[i, :n] - alone.data[0, :n])) < 1e-6
@@ -111,8 +111,8 @@ class TestNspHead:
 
 class TestMlmHead:
     def test_mask_position_distribution(self, tiny_model, tok):
-        masked, _ = render_pet("alpha beta gamma", PromptTemplate("{label} delta", "prefix"),
-                               Verbalizer({"x": "alpha"}), "x", tok, 16)
+        masked = render_pet("alpha beta gamma", PromptTemplate("{label} delta", "prefix"),
+                            Verbalizer({"x": "alpha"}), "x", tok, 16)
         assert masked.mask_positions == [1]
         with T.no_grad():
             logits = tiny_model.mlm_logits(tiny_model.forward_batch([masked]),

@@ -87,9 +87,8 @@ class TestRenderPet:
 
     def test_single_mask_span(self, tok):
         verb = Verbalizer({"sports": "sports"})
-        enc, targets = render_pet("the game was good", self.TEMPLATE, verb,
-                                  "sports", tok, 24)
-        assert len(targets) == 1
+        enc = render_pet("the game was good", self.TEMPLATE, verb, "sports", tok, 24)
+        assert len(enc.mask_targets) == 1
         assert len(enc.mask_positions) == 1
         pos = enc.mask_positions[0]
         assert enc.ids[pos] == tok.vocab.mask_id
@@ -99,9 +98,8 @@ class TestRenderPet:
 
     def test_multi_token_verbalization_gets_multiple_masks(self, tok):
         verb = Verbalizer({"tech": "tech nology"})
-        enc, targets = render_pet("talk today", self.TEMPLATE, verb,
-                                  "tech", tok, 24)
-        assert len(targets) == 2
+        enc = render_pet("talk today", self.TEMPLATE, verb, "tech", tok, 24)
+        assert len(enc.mask_targets) == 2
         assert enc.mask_positions == [enc.mask_positions[0],
                                       enc.mask_positions[0] + 1]
         for pos in enc.mask_positions:
@@ -109,13 +107,13 @@ class TestRenderPet:
 
     def test_targets_match_verbalization(self, tok):
         verb = Verbalizer({"sports": "sports"})
-        _, targets = render_pet("the game", self.TEMPLATE, verb, "sports", tok, 24)
-        assert targets == tok.encode("sports")
+        enc = render_pet("the game", self.TEMPLATE, verb, "sports", tok, 24)
+        assert enc.mask_targets == tok.encode("sports")
 
     def test_prefix_position(self, tok):
         t = PromptTemplate("{label} story :", position="prefix")
         verb = Verbalizer({"bad": "bad"})
-        enc, _ = render_pet("about sports", t, verb, "bad", tok, 24)
+        enc = render_pet("about sports", t, verb, "bad", tok, 24)
         # mask comes right after [CLS]
         assert enc.mask_positions == [1]
         assert enc.ids[1] == tok.vocab.mask_id
@@ -124,9 +122,9 @@ class TestRenderPet:
     def test_restored_targets_give_the_filled_template(self, tok, position):
         t = PromptTemplate("this is {label} news", position)
         verb = Verbalizer({"tech": "tech nology"})
-        enc, targets = render_pet("talk today", t, verb, "tech", tok, 24)
+        enc = render_pet("talk today", t, verb, "tech", tok, 24)
         restored = enc.ids.copy()
-        restored[enc.mask_positions] = targets
+        restored[enc.mask_positions] = enc.mask_targets
         a, b = render_single("talk today", t, verb, "tech")
         np.testing.assert_array_equal(restored, tok.encode_single(a + " " + b, 24).ids)
 
@@ -144,24 +142,23 @@ class TestRenderPet:
         verb = Verbalizer({"bad": "bad"})
         with pytest.raises(ValidationError, match="needs 6 tokens but max_len 8 fits at most 5"):
             render_pet("about sports", t, verb, "bad", tok, 8)
-        enc, _ = render_pet("about sports", t, verb, "bad", tok, 9)
+        enc = render_pet("about sports", t, verb, "bad", tok, 9)
         text = [i for i in enc.ids if i in tok.encode("about sports")]
         assert text == tok.encode("sports" if position == "suffix" else "about")
 
     def test_overflow_trims_text_not_prompt(self, tok):
         verb = Verbalizer({"sports": "sports"})
         long_text = " ".join(["game"] * 30)
-        enc, targets = render_pet(long_text, self.TEMPLATE, verb, "sports",
-                                  tok, 16)
+        enc = render_pet(long_text, self.TEMPLATE, verb, "sports", tok, 16)
         assert len(enc.ids) == 16
         # the prompt span and mask survive trimming
         tail = [i for i in enc.ids if i not in (tok.vocab.pad_id,)]
         assert tok.vocab.mask_id in tail
-        assert len(enc.mask_positions) == len(targets) == 1
+        assert len(enc.mask_positions) == len(enc.mask_targets) == 1
 
     def test_single_segment(self, tok):
         verb = Verbalizer({"sports": "sports"})
-        enc, _ = render_pet("the game", self.TEMPLATE, verb, "sports", tok, 24)
+        enc = render_pet("the game", self.TEMPLATE, verb, "sports", tok, 24)
         assert np.all(enc.segment_ids == 0)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspbert.errors import ValidationError
-from nspbert.harness import Example
+from nspbert.harness import Example, evaluate, make_synthetic_task
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
 from nspbert.scoring import (
@@ -20,15 +20,18 @@ from nspbert.scoring import (
     Thresholds,
     apply_thresholds,
     apportion,
+    cloze_inputs,
     emit_probability_histogram,
     load_scored_jsonl,
+    pet_head,
     pet_score,
     samples_contrast,
     score_candidates,
     thresholds_from_dev,
 )
 from nspbert.tokenizer import build_vocab
-from nspbert.tuning import predict_candidates_batch
+from nspbert.tuning import accuracy, predict_candidates_batch
+from conftest import STANDARD_CORPUS
 
 
 class TestScoredSample:
@@ -300,6 +303,24 @@ class TestModelScoring:
         assert probs.shape == (2,)
         assert abs(probs.sum() - 1.0) < 1e-6
         assert np.all(probs > 0)
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    def test_batched_pet_predicts_the_per_example_argmax(self, pretrained, pretrained_model,
+                                                         position):
+        """On the acceptance topic task, PET predictions batched 64 examples
+        to a forward are the argmax of each example's own `pet_score`."""
+        import dataclasses
+
+        examples, task = make_synthetic_task(STANDARD_CORPUS, "topic", seed=1)
+        task = dataclasses.replace(task, template=PromptTemplate("{label}", position))
+        data, vocab, model = examples[::9][:130], pretrained["vocab"], pretrained_model
+        want = [task.labels[int(np.argmax(pet_score(model, vocab, ex.text_a, task)))]
+                for ex in data]
+        got = predict_candidates_batch(model, vocab, data, task, head=pet_head,
+                                       pairs=cloze_inputs([ex.text_a for ex in data], task,
+                                                          vocab))
+        assert got == want
+        assert evaluate(model, vocab, data, task, "zero_shot_pet") == accuracy(want, data)
 
 
 class TestEmitters:

@@ -192,11 +192,12 @@ class TestEncodePair:
             targets = t.encode(verb(label))
             prompt = before + [v.mask_id] * len(targets) + after
             first = [None] + prompt if position == "suffix" else prompt + [None]
-            enc = check(lambda: render_pet(a, template, verb, label, t, max_len)[0],
+            enc = check(lambda: render_pet(a, template, verb, label, t, max_len),
                         first, cut_start=position == "suffix")
             if enc is not None:
                 masks = [i for i, x in enumerate(enc.ids) if x == v.mask_id]
                 assert enc.mask_positions == masks and len(masks) == len(targets)
+                assert enc.mask_targets == targets
 
     def test_prefix_stability(self, tok):
         base = tok.encode("good news")
