@@ -9,6 +9,7 @@ header (magic "NSPBERT1").
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -309,30 +310,34 @@ class EncoderModel:
 
     @classmethod
     def load_checkpoint(cls, path):
+        """The model in a checkpoint file; each tensor is read once, straight
+        into its own array."""
         with open(path, "rb") as f:
             header, config = _read_header(f, path)
-            data = f.read()
-        layout = param_layout(config)
-        unknown = sorted(set(header["tensors"]) - set(layout))
-        if unknown:
-            raise CheckpointShapeError(f"checkpoint has unknown tensor {unknown[0]!r}")
-        arrays = {}
-        for name in sorted(layout):
-            if name not in header["tensors"]:
-                raise CheckpointShapeError(f"checkpoint missing tensor {name!r}")
-            entry = header["tensors"][name]
-            expected = layout[name][0]
-            if tuple(entry["shape"]) != expected:
-                raise CheckpointShapeError(
-                    f"tensor {name!r} has shape {tuple(entry['shape'])}, "
-                    f"expected {expected}"
-                )
-            start = entry["offset"]
-            nbytes = int(np.prod(expected, dtype=np.int64)) * 4
-            chunk = data[start : start + nbytes]
-            if len(chunk) < nbytes:
-                raise CheckpointTruncatedError(
-                    f"{path!r} ends inside tensor {name!r} data"
-                )
-            arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(expected).copy()
+            start = f.tell()
+            payload = os.fstat(f.fileno()).st_size - start
+            layout = param_layout(config)
+            unknown = sorted(set(header["tensors"]) - set(layout))
+            if unknown:
+                raise CheckpointShapeError(f"checkpoint has unknown tensor {unknown[0]!r}")
+            arrays = {}
+            for name in sorted(layout):
+                if name not in header["tensors"]:
+                    raise CheckpointShapeError(f"checkpoint missing tensor {name!r}")
+                entry = header["tensors"][name]
+                expected = layout[name][0]
+                if tuple(entry["shape"]) != expected:
+                    raise CheckpointShapeError(
+                        f"tensor {name!r} has shape {tuple(entry['shape'])}, "
+                        f"expected {expected}"
+                    )
+                arr = np.empty(expected, dtype="<f4")
+                # Checked before the seek, which refuses an offset that does not
+                # fit in a file position.
+                if entry["offset"] + arr.nbytes > payload:
+                    raise CheckpointTruncatedError(f"{path!r} ends inside tensor {name!r} data")
+                f.seek(start + entry["offset"])
+                if f.readinto(arr) != arr.nbytes:
+                    raise CheckpointTruncatedError(f"{path!r} ends inside tensor {name!r} data")
+                arrays[name] = arr
         return cls(config, header.get("seed", 0), arrays, header.get("step", 0))

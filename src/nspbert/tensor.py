@@ -4,7 +4,8 @@ Values are stored as float32; reductions accumulate in float64 before
 casting back.  Every operation that participates in differentiation
 records its parents and a backward closure on the output tensor; the
 reverse sweep walks the recorded graph once, in reverse topological
-order.
+order.  Only leaf gradients survive it: an interior node drops its
+gradient, parents and closure once it has passed its gradient on.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def _unbroadcast(grad, shape):
 
 
 def backward(loss):
-    """Reverse sweep from a scalar loss, populating .grad fields."""
+    """Reverse sweep from a scalar loss, populating the leaves' .grad fields
+    and releasing the graph behind them."""
     if loss.size != 1:
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
     # Iterative topological order over the recorded graph.
@@ -118,8 +120,14 @@ def backward(loss):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g.astype(parent.data.dtype, copy=False)
+                # A copy in the parent's own layout: no two parents share a
+                # gradient, and BLAS calls on it sum in the order they did
+                # when it was built by zeros_like and +=.
+                parent.grad = np.empty_like(parent.data)
+                np.copyto(parent.grad, g)
+            else:
+                parent.grad += g.astype(parent.data.dtype, copy=False)
+        node.grad, node._parents, node._backward = None, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,17 @@ def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+    if a.ndim >= 3 and b.ndim == 2:
+        # One (N, H) @ (H, F) GEMM, not numpy's stack of small ones; the
+        # weight gradient is then one GEMM too, with no stack to sum.
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def back_flat(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        return _node(out, (a, b), back_flat)
     out = np.matmul(a.data, b.data)
 
     def back(g):
@@ -369,14 +388,24 @@ def binary_cross_entropy(p, y):
 
 
 def adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update, in place on `param`, `m`, `v`. `t` is 1-based."""
+    """One Adam update, in place on `param`, `m`, `v`. `t` is 1-based.
+
+    The float ops and their order are those of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``param -= lr mhat / (sqrt(vhat) + eps)``, written into two scratch
+    buffers instead of a temporary per op."""
+    s1, s2 = np.empty_like(m), np.empty_like(m)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=s1)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1**t)
-    vhat = v / (1.0 - beta2**t)
-    param -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(param.dtype)
+    np.multiply(grad, 1.0 - beta2, out=s1)
+    v += np.multiply(s1, grad, out=s1)
+    np.divide(m, 1.0 - beta1**t, out=s1)  # mhat
+    np.divide(v, 1.0 - beta2**t, out=s2)  # vhat
+    s1 *= lr
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    param -= np.divide(s1, s2, out=s1)
 
 
 class Adam:

@@ -591,6 +591,18 @@ def test_unknown_checkpoint_tensor_exits_2(workdir, tmp_path, capsys):
     assert "unknown tensor 'bogus'" in assert_one_line_exit_2(code, capsys)
 
 
+@pytest.mark.parametrize("offset", [2**40, 2**70], ids=["2**40", "2**70"])
+def test_checkpoint_offset_past_the_end_exits_2(workdir, tmp_path, capsys, offset):
+    d, task_path = workdir
+    ckpt = tmp_path / "bad.nsp"
+    rewrite_header(d / "model.nsp", ckpt, lambda h: {**h, "tensors": {
+        **h["tensors"], "nsp.out.b": {**h["tensors"]["nsp.out.b"], "offset": offset}}})
+    capsys.readouterr()
+    code = run(["--config", task_path, "--checkpoint", str(ckpt),
+                "eval-zeroshot", "--data", str(d / "data.jsonl")])
+    assert "ends inside tensor 'nsp.out.b'" in assert_one_line_exit_2(code, capsys)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(workdir):
     """A 1-layer, hidden-16 checkpoint on the workdir vocab, and a small dataset."""

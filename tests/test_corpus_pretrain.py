@@ -2,10 +2,12 @@
 pre-training loop."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import nspbert.tensor as T
 from nspbert.corpus import (
     ISNEXT_LABEL,
     NOTNEXT_LABEL,
@@ -19,10 +21,12 @@ from nspbert.corpus import (
 from nspbert.errors import DivergenceError, ValidationError
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.pretrain import (
+    _encode_masked_batch,
     nsp_accuracy,
     pretrain,
     vocab_from_documents,
 )
+from nspbert.tokenizer import Tokenizer
 
 SMALL = SyntheticCorpusConfig(n_documents=20, seed=1)
 
@@ -285,6 +289,29 @@ class TestPretrainLoop:
         docs, vocab, cfg = setup
         with pytest.raises(ValidationError):
             pretrain(EncoderModel(cfg), docs[:1], vocab, steps=1)
+
+    def test_backward_holds_little_more_than_the_gradients(self, setup):
+        """After a micro step's forward and backward, with the loss and the
+        hidden states still referenced, the memory still held is the leaf
+        gradients and little more: the graph's interior is released."""
+        docs, vocab, _ = setup
+        model = EncoderModel(EncoderConfig.preset("micro", len(vocab)), seed=0)
+        param_bytes = sum(p.data.nbytes for p in model.params.values())
+        rng = np.random.default_rng(0)
+        pairs = sample_nsp_pairs(docs, 16, seed=5)
+        ids, segs, attn, bidx, pidx, mlm_t, nsp_t = _encode_masked_batch(
+            Tokenizer(vocab), pairs, 28, 0.15, rng)
+        tracemalloc.start()
+        try:
+            hidden = model.forward_ids(ids, segs, attn)
+            loss = T.add(T.cross_entropy(model.mlm_logits(hidden, bidx, pidx), mlm_t),
+                         T.cross_entropy(model.nsp_logits(hidden), nsp_t))
+            T.backward(loss)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert hidden.shape == (16, 28, 64) and np.isfinite(loss.item())
+        assert held <= 2 * param_bytes, (held, param_bytes)
 
     def test_nsp_accuracy_bounds(self, setup):
         docs, vocab, cfg = setup

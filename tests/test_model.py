@@ -199,6 +199,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             EncoderModel.load_checkpoint(path)
 
+    @pytest.mark.parametrize("offset", [2**40, 2**70], ids=["2**40", "2**70"])
+    def test_offset_past_the_end(self, tiny_model, tmp_path, offset):
+        """Refused before any seek: 2**70 does not fit in a file position."""
+        path = tmp_path / "m.nsp"
+        tiny_model.save_checkpoint(path)
+        header = read_header(path)
+        header["tensors"]["nsp.out.b"]["offset"] = offset
+        write_header(path, header)
+        with pytest.raises(CheckpointTruncatedError, match="nsp.out.b"):
+            EncoderModel.load_checkpoint(path)
+
+    def test_tensors_at_one_offset_share_no_memory(self, tiny_model, tmp_path):
+        path = tmp_path / "m.nsp"
+        tiny_model.save_checkpoint(path)
+        header = read_header(path)
+        header["tensors"]["nsp.pool.b"]["offset"] = header["tensors"]["mlm.ln.bias"]["offset"]
+        write_header(path, header)
+        loaded = EncoderModel.load_checkpoint(path)
+        a, b = loaded.params["nsp.pool.b"].data, loaded.params["mlm.ln.bias"].data
+        assert np.array_equal(a, tiny_model.params["mlm.ln.bias"].data)
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
     def test_shape_mismatch_names_tensor(self, tiny_model, tmp_path):
         path = tmp_path / "m.nsp"
         tiny_model.save_checkpoint(path)

@@ -53,6 +53,25 @@ class TestMatmul:
         T.backward(scalar_loss(T.matmul(a, Tensor(b))))
         assert rel_err(a.grad, fd_grad(f, a0)) < 1e-3
 
+    def test_batched_input_times_weight(self):
+        """(B, S, H) @ (H, F) runs as one flattened GEMM: its values match
+        numpy's stacked matmul, and both gradients match finite differences
+        in a float64 pass."""
+        rng = np.random.default_rng(2)
+        a0, b0 = rng.uniform(-2, 2, (3, 5, 4)), rng.uniform(-2, 2, (4, 6))
+        a32, b32 = a0.astype(np.float32), b0.astype(np.float32)
+        np.testing.assert_allclose(T.matmul(Tensor(a32), Tensor(b32)).data,
+                                   np.matmul(a32, b32), rtol=1e-6)
+        weights = rng.uniform(-1, 1, (3, 5, 6))
+        a = Tensor(a0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        T.backward(scalar_loss(T.mul(T.matmul(a, b), weights)))
+        assert a.grad.shape == a0.shape and b.grad.shape == b0.shape
+        assert rel_err(a.grad, fd_grad(lambda v: float((np.matmul(v, b0) * weights).sum()),
+                                       a0)) < 1e-6
+        assert rel_err(b.grad, fd_grad(lambda v: float((np.matmul(a0, v) * weights).sum()),
+                                       b0)) < 1e-6
+
 
 class TestSoftmaxRows:
     def test_symmetry(self):
@@ -240,8 +259,59 @@ class TestBackwardEngine:
         g1, g2 = run(), run()
         assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
 
+    def test_parents_of_one_add_get_their_own_gradients(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        T.backward(T.sum_all(T.add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_gradient_has_the_leafs_strides(self):
+        """A first gradient takes its parent's layout, not the incoming
+        gradient's; BLAS sums in a layout-dependent order."""
+        rng = np.random.default_rng(3)
+        x = Tensor(np.asfortranarray(rng.uniform(-1, 1, (3, 4)).astype(np.float32)),
+                   requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (4, 5)).astype(np.float32))
+        T.backward(T.sum_all(T.matmul(x, w)))
+        assert x.grad.strides == x.data.strides and x.grad.flags.f_contiguous
+
+    def test_backward_releases_interior_nodes(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 3)), requires_grad=True)
+        h = T.tanh_op(T.matmul(x, w))
+        y = T.mul(h, h)
+        loss = T.sum_all(y)
+        T.backward(loss)
+        for node in (h, y, loss):
+            assert node.grad is None and node._parents == () and node._backward is None
+        assert x.grad.shape == (2, 3) and w.grad.shape == (3, 3)
+
+
+def adam_step_reference(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam update as one expression per line, a temporary per op."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1**t)
+    vhat = v / (1.0 - beta2**t)
+    param -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(param.dtype)
+
 
 class TestAdam:
+    def test_bit_identical_to_the_expression(self):
+        rng = np.random.default_rng(4)
+        shape = (7, 5)
+        got = [rng.standard_normal(shape).astype(np.float32), np.zeros(shape, np.float32),
+               np.zeros(shape, np.float32)]
+        want = [a.copy() for a in got]
+        for t in range(1, 6):
+            grad = (rng.standard_normal(shape) * 10.0 ** -t).astype(np.float32)
+            for step, (param, m, v) in ((T.adam_step, got), (adam_step_reference, want)):
+                step(param, grad, m, v, t, 1e-3)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
     def test_zero_gradient_keeps_params(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         p.grad = np.zeros(2, dtype=np.float32)
