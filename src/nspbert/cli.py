@@ -20,7 +20,9 @@ from .errors import DivergenceError, NspBertError, ValidationError, from_json, r
 from .harness import (
     ABLATION_FIELDS,
     DEFAULT_SEEDS,
+    EVAL_MODES,
     ExperimentConfig,
+    evaluate,
     kshot_split,
     load_jsonl,
     mean_std,
@@ -141,14 +143,10 @@ def pretrain_cmd(ctx, corpus_path):
 
 @cli.command("eval-zeroshot")
 @click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--mode", type=click.Choice(["zero_shot_nsp", "zero_shot_pet",
-                                           "samples_contrast", "thresholds"]),
-              default="zero_shot_nsp")
+@click.option("--mode", type=click.Choice(EVAL_MODES), default="zero_shot_nsp")
 @click.pass_context
 def eval_zeroshot(ctx, data, mode):
     """Zero-shot evaluation of a dataset against a task config."""
-    from .harness import evaluate
-
     task = TaskConfig.load(_require(ctx, "config"))
     model, vocab = _load(_require(ctx, "checkpoint"))
     examples = load_jsonl(data, task)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import ISNEXT_LABEL, SyntheticCorpusConfig, mask_tokens, sample_nsp_pair
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .model import ISNEXT, NOTNEXT, PRESETS
 from .tokenizer import Tokenizer, build_vocab
 from .tuning import nsp_head, run_head
@@ -112,17 +112,10 @@ def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_siz
         else:
             total = nsp_loss
             mlm_val = 0.0
-        if not np.isfinite(total.item()):
-            raise DivergenceError(
-                f"non-finite loss at step {step}: total={total.item()}, "
-                f"mlm={mlm_val}, nsp={nsp_loss.item()}"
-            )
-        opt.zero_grad()
-        T.backward(total)
-        opt.step()
+        nsp_val = nsp_loss.item()
+        total_val = opt.minimize(total, f"step {step} (mlm={mlm_val}, nsp={nsp_val})")
         model.step += 1
-        trace.append({"step": step, "total": total.item(), "mlm": mlm_val,
-                      "nsp": nsp_loss.item()})
+        trace.append({"step": step, "total": total_val, "mlm": mlm_val, "nsp": nsp_val})
     return trace
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 
 _grad_enabled = True
 
@@ -287,7 +287,8 @@ def embedding_lookup(table, ids):
 
 
 def gather_positions(x, idx0, idx1):
-    """Select rows x[idx0[i], idx1[i], :] from a (B, S, H) tensor."""
+    """Select x[idx0[i], idx1[i]]: rows of a (B, S, H) tensor, or entries of
+    a matrix."""
     idx0 = np.asarray(idx0)
     idx1 = np.asarray(idx1)
     out = x.data[idx0, idx1]
@@ -314,16 +315,11 @@ def take_index(x, index, axis):
     return _node(out, (x,), back)
 
 
-def sum_all(x, axis=None, keepdims=False):
-    out = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.data.dtype)
+def sum_all(x):
+    out = x.data.sum(dtype=np.float64).astype(x.data.dtype)
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.data.dtype),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, x.shape).astype(x.data.dtype),)
+        return (np.broadcast_to(g, x.shape).astype(x.data.dtype),)
 
     return _node(out, (x,), back)
 
@@ -430,6 +426,18 @@ class Adam:
                 p.data, p.grad, self.m[name], self.v[name], self.t,
                 self.lr, self.beta1, self.beta2, self.eps,
             )
+
+    def minimize(self, loss, where):
+        """One step down a scalar loss: backward, then `step`; returns the
+        loss value.  A non-finite loss raises DivergenceError naming `where`
+        and leaves the parameters, gradients and moments as they were."""
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergenceError(f"non-finite loss at {where}: {value}")
+        self.zero_grad()
+        backward(loss)
+        self.step()
+        return value
 
     def zero_grad(self):
         for p in self.params.values():

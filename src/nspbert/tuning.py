@@ -2,9 +2,13 @@
 ablation variants, and the plain fine-tuning baseline.
 
 Each labeled sample becomes |Y| binary instances: the gold verbalization
-with target 1 and every other label with target 0.  In coupled variants
-a sample's instances always share a training batch; the decoupled
-variant shuffles instances globally.  The final model is the best
+with target 1 and every other label with target 0.  Every variant,
+fine-tuning included, trains in `_train` on the inputs `TuneResult.encode`
+builds for prediction, a sample's |Y| candidates or, under fine-tuning, its
+untemplated text, with one 0/1 target row per sample.  One batching rule
+serves them all: shuffle the units, take `batch_size` of them per batch.  A
+coupled variant's unit is a sample, so its instances share a batch; the
+decoupled variant's unit is one instance.  The final model is the best
 dev-accuracy epoch.
 
 Every scoring path forwards through `run_head`, a batched no-grad forward
@@ -15,12 +19,12 @@ scores.  Candidate prompts are encoded by `encode_candidates` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .errors import DivergenceError, ValidationError
+from .errors import ValidationError
 from .model import ISNEXT, EncoderModel, _trunc_normal, init_arrays
 from .prompting import PREFIX, render_single
 from .tensor import Tensor
@@ -83,14 +87,16 @@ def _fresh_logits(model, hidden, extra):
     return T.add(T.matmul(h, T.transpose(extra["head_w"], (1, 0))), extra["head_b"])
 
 
-def fresh_head(extra, own=False):
-    """Fresh-head logits of each input, a |Y|-wide row; with `own`, candidate
-    j's output j on its own input, so chunks must hold whole candidate sets."""
-    def head(model, hidden, batch):
-        logits = _fresh_logits(model, hidden, extra).data
-        rows = np.arange(len(logits))
-        return logits[rows, rows % logits.shape[1]] if own else logits
-    return head
+def _own_logits(model, hidden, extra):
+    """Candidate j's fresh-head output j on its own input; the inputs must
+    be whole candidate sets in label order."""
+    logits = _fresh_logits(model, hidden, extra)
+    rows = np.arange(logits.shape[0])
+    return T.gather_positions(logits, rows, rows % logits.shape[1])
+
+
+# The variants scored by a fresh head, and the scores each input gets.
+_FRESH_SCORES = {"fine_tune": _fresh_logits, "linear_head_softmax": _own_logits}
 
 
 def run_head(model, inputs, head, chunk):
@@ -149,9 +155,9 @@ class TuneResult:
     def predict(self, examples, task, vocab, inputs=None):
         if inputs is None:
             inputs = self.encode(examples, task, vocab)
-        head = isnext_head
-        if self.variant in ("fine_tune", "linear_head_softmax"):
-            head = fresh_head(self.extra, own=self.variant == "linear_head_softmax")
+        score = _FRESH_SCORES.get(self.variant)
+        head = isnext_head if score is None else (
+            lambda model, hidden, batch: score(model, hidden, self.extra).data)
         return predict_candidates_batch(self.model, vocab, examples, task, head=head,
                                         pairs=inputs)
 
@@ -160,8 +166,8 @@ class TuneResult:
 # Training
 #
 # A loss function maps (model, fresh head, hidden states, targets) to a scalar
-# loss tensor.  NSP-tuning targets are 0/1 per instance, one row per parent
-# sample in coupled batches; fine-tuning targets are gold label indices.
+# loss tensor.  Targets are 0/1 rows marking the gold label: one row of |Y|
+# per sample, or one 1-wide row per instance in decoupled batches.
 
 
 def _bce_loss(model, extra, hidden, targets):
@@ -175,15 +181,12 @@ def _softmax_loss(model, extra, hidden, targets):
 
 
 def _linear_head_loss(model, extra, hidden, targets):
-    n_labels = targets.shape[1]
-    cube = T.reshape(_fresh_logits(model, hidden, extra), (-1, n_labels, n_labels))
-    eye = Tensor(np.eye(n_labels, dtype=np.float32))
-    scores = T.sum_all(T.mul(cube, eye), axis=-1)
-    return T.cross_entropy(scores, targets.argmax(axis=1))
+    scores = _own_logits(model, hidden, extra)
+    return T.cross_entropy(T.reshape(scores, targets.shape), targets.argmax(axis=1))
 
 
 def _class_loss(model, extra, hidden, targets):
-    return T.cross_entropy(_fresh_logits(model, hidden, extra), targets)
+    return T.cross_entropy(_fresh_logits(model, hidden, extra), targets.argmax(axis=1))
 
 
 _LOSSES = {
@@ -205,30 +208,51 @@ def _new_head(model, n_labels, seed):
     }
 
 
-def _train_loop(result, epoch_batches, dev, task, vocab, cfg):
-    """Adam on the model and its fresh head for cfg.epochs epochs; returns
-    `result` with the weights of the best dev-accuracy epoch restored.
+def _train(model, train, dev, task, vocab, cfg):
+    """Adam on the model and its fresh head for cfg.epochs epochs; returns a
+    TuneResult holding the weights of the best dev-accuracy epoch.
 
-    epoch_batches() draws one epoch of (inputs, targets) batches.  With no
-    dev set the final weights are kept and best_epoch stays -1.
+    Each epoch shuffles the training units and takes cfg.batch_size of them
+    per batch: a unit is a sample's |Y| candidates, or its single input under
+    fine-tuning, or one instance under decoupled_bce (batch_size * |Y| per
+    batch).  With no dev set the final weights are kept and best_epoch stays -1.
     """
-    model, extra = result.model, result.extra
-    loss_fn = _LOSSES[result.variant]
+    for ex in train:
+        if ex.label not in task.labels:
+            raise ValidationError(f"gold label {ex.label!r} not in task labels")
+    n_labels = len(task.labels)
+    extra = {}
+    if cfg.variant == "reinit_sigmoid_head":
+        fresh = init_arrays(model.config, np.random.default_rng(cfg.seed + 1), "nsp.")
+        for name, arr in fresh.items():
+            model.params[name].data = arr
+    elif cfg.variant in _FRESH_SCORES:
+        extra = _new_head(model, n_labels, cfg.seed)
+    result = TuneResult(model, cfg.variant, history=[], best_epoch=-1, extra=extra)
+
+    inputs = result.encode(train, task, vocab)
+    targets = np.array([[label == ex.label for label in task.labels] for ex in train],
+                       dtype=np.float64).reshape(len(train), n_labels)
+    batch_size, per_unit = cfg.batch_size, n_labels
+    if cfg.variant == "decoupled_bce":
+        targets, batch_size, per_unit = targets.reshape(-1, 1), batch_size * n_labels, 1
+    elif cfg.variant == "fine_tune":
+        per_unit = 1
+
+    loss_fn = _LOSSES[cfg.variant]
     params = {**model.params, **extra}
     opt = T.Adam(params, lr=cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
     best_acc, best = -1.0, None
     dev_inputs = result.encode(dev, task, vocab) if dev else None
     for epoch in range(cfg.epochs):
         epoch_losses = []
-        for inputs, targets in epoch_batches():
-            loss = loss_fn(model, extra, model.forward_batch(inputs), targets)
-            if not np.isfinite(loss.item()):
-                raise DivergenceError(
-                    f"non-finite loss during {result.variant} epoch {epoch}: {loss.item()}")
-            opt.zero_grad()
-            T.backward(loss)
-            opt.step()
-            epoch_losses.append(loss.item())
+        order = rng.permutation(len(targets))
+        for i in range(0, len(order), batch_size):
+            idx = order[i : i + batch_size]
+            batch = [inputs[j * per_unit + c] for j in idx for c in range(per_unit)]
+            loss = loss_fn(model, extra, model.forward_batch(batch), targets[idx])
+            epoch_losses.append(opt.minimize(loss, f"{cfg.variant} epoch {epoch}"))
         dev_acc = (accuracy(result.predict(dev, task, vocab, dev_inputs), dev) if dev
                    else float("nan"))
         result.history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
@@ -247,59 +271,9 @@ def nsp_tune(model, train, dev, task, vocab, cfg):
     task.check_mode("nsp_tune")
     if cfg.variant not in VARIANTS:
         raise ValidationError(f"variant {cfg.variant!r} not handled by nsp_tune")
-    tok = Tokenizer(vocab)
-    rng = np.random.default_rng(cfg.seed)
-    n_labels = len(task.labels)
-    # Per parent sample: its |Y| candidates, and a 0/1 target row that marks
-    # the gold label's candidate.
-    candidates = []
-    for ex in train:
-        if ex.label not in task.labels:
-            raise ValidationError(f"gold label {ex.label!r} not in task labels")
-        candidates.append(encode_candidates(ex.text_a, task, tok))
-    targets = np.array([[label == ex.label for label in task.labels] for ex in train],
-                       dtype=np.float64).reshape(len(train), n_labels)
-
-    extra = {}
-    if cfg.variant == "reinit_sigmoid_head":
-        fresh = init_arrays(model.config, np.random.default_rng(cfg.seed + 1), "nsp.")
-        for name, arr in fresh.items():
-            model.params[name].data = arr
-    elif cfg.variant == "linear_head_softmax":
-        extra = _new_head(model, n_labels, cfg.seed)
-
-    def epoch_batches():
-        if cfg.variant == "decoupled_bce":
-            flat = [p for group in candidates for p in group]
-            order = list(range(len(flat)))
-            rng.shuffle(order)
-            size = cfg.batch_size * n_labels
-            for i in range(0, len(order), size):
-                idx = order[i : i + size]
-                yield [flat[j] for j in idx], targets.reshape(-1)[idx]
-        else:
-            order = rng.permutation(len(candidates))
-            for i in range(0, len(order), cfg.batch_size):
-                idx = order[i : i + cfg.batch_size]
-                yield [p for j in idx for p in candidates[j]], targets[idx]
-
-    result = TuneResult(model, cfg.variant, history=[], best_epoch=-1, extra=extra)
-    return _train_loop(result, epoch_batches, dev, task, vocab, cfg)
+    return _train(model, train, dev, task, vocab, cfg)
 
 
 def fine_tune_baseline(model, train, dev, task, vocab, cfg):
     """Fresh |Y|-way softmax head on [CLS]; no templates."""
-    tok = Tokenizer(vocab)
-    rng = np.random.default_rng(cfg.seed)
-    extra = _new_head(model, len(task.labels), cfg.seed)
-    gold_idx = np.array([task.labels.index(ex.label) for ex in train], dtype=np.int64)
-    encs = [tok.encode_single(ex.text_a, task.max_len) for ex in train]
-
-    def epoch_batches():
-        order = rng.permutation(len(train))
-        for i in range(0, len(order), cfg.batch_size):
-            idx = order[i : i + cfg.batch_size]
-            yield [encs[j] for j in idx], gold_idx[idx]
-
-    result = TuneResult(model, "fine_tune", history=[], best_epoch=-1, extra=extra)
-    return _train_loop(result, epoch_batches, dev, task, vocab, cfg)
+    return _train(model, train, dev, task, vocab, replace(cfg, variant="fine_tune"))

@@ -9,10 +9,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+import nspbert.harness  # noqa: E402
+import nspbert.scoring  # noqa: E402
+import nspbert.tensor  # noqa: E402
 from nspbert.corpus import generate_corpus  # noqa: E402
 from nspbert.model import EncoderConfig, EncoderModel  # noqa: E402
 from nspbert.pretrain import vocab_from_documents  # noqa: E402
+
+# Traced names the package no longer has: their metrics read 0.  None may
+# join them.
+DEAD_SPANS = {(nspbert.scoring, "render_single"), (nspbert.harness, "pet_score")}
+DEAD_OPS = {"mean_all"}
+
+
+def test_every_traced_name_is_live():
+    """The tracer skips a name it cannot find, so a renamed function would
+    leave its per-layer metric at 0 without a word."""
+    dead = {(owner, attr) for owner, attr, _ in tracing.SPANNED if attr not in vars(owner)}
+    assert dead <= DEAD_SPANS
+    assert {op for op in tracing.TENSOR_OPS if op not in vars(nspbert.tensor)} <= DEAD_OPS
 
 
 def test_micro_workload_checks_pass(pretrained):

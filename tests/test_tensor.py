@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nspbert.tensor as T
-from nspbert.errors import DimensionError
+from nspbert.errors import DimensionError, DivergenceError
 from nspbert.tensor import Tensor
 from conftest import fd_grad, rel_err
 
@@ -287,6 +287,25 @@ class TestBackwardEngine:
         assert x.grad.shape == (2, 3) and w.grad.shape == (3, 3)
 
 
+class TestGatherPositions:
+    @pytest.mark.parametrize("shape, idx0, idx1", [
+        ((3, 4, 5), [0, 2, 1, 2], [3, 0, 1, 0]),  # (B, S, H): rows
+        ((4, 3), [1, 3, 0, 1], [2, 0, 1, 2]),  # matrix: entries
+    ])
+    def test_gradient_matches_finite_differences(self, shape, idx0, idx1):
+        """Repeated index pairs (the last and the second) accumulate."""
+        rng = np.random.default_rng(11)
+        x0 = rng.uniform(-2, 2, shape)
+        w = rng.uniform(-2, 2, np.zeros(shape)[idx0, idx1].shape)
+
+        def f(x):
+            return float((x[idx0, idx1] * w).sum())
+
+        x = Tensor(x0, requires_grad=True)
+        T.backward(T.sum_all(T.mul(T.gather_positions(x, idx0, idx1), Tensor(w))))
+        assert rel_err(x.grad, fd_grad(f, x0)) < 1e-6
+
+
 def adam_step_reference(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The Adam update as one expression per line, a temporary per op."""
     m *= beta1
@@ -334,3 +353,28 @@ class TestAdam:
         opt = T.Adam({"w": w}, lr=0.01)
         opt.step()
         np.testing.assert_allclose(w.data, [-0.01, 0.01], rtol=1e-4)
+
+    def test_minimize_is_backward_then_step(self):
+        rng = np.random.default_rng(5)
+        w0 = rng.standard_normal(4).astype(np.float32)
+        got, want = Tensor(w0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        opt, ref = T.Adam({"w": got}, lr=0.1), T.Adam({"w": want}, lr=0.1)
+        for _ in range(3):
+            value = opt.minimize(T.sum_all(T.mul(got, got)), "here")
+            loss = T.sum_all(T.mul(want, want))
+            ref.zero_grad()
+            T.backward(loss)
+            ref.step()
+            assert value == loss.item()
+            assert np.array_equal(got.data, want.data) and np.array_equal(got.grad, want.grad)
+
+    def test_minimize_refuses_a_non_finite_loss_and_changes_nothing(self):
+        w = Tensor([1.0, -2.0], requires_grad=True)
+        opt = T.Adam({"w": w}, lr=0.1)
+        opt.minimize(T.sum_all(T.mul(w, w)), "step 0")
+        before = [w.data.copy(), w.grad.copy(), opt.m["w"].copy(), opt.v["w"].copy()]
+        with pytest.raises(DivergenceError, match="epoch 7"):
+            opt.minimize(T.sum_all(T.mul(w, Tensor([np.nan, 1.0]))), "epoch 7")
+        after = [w.data, w.grad, opt.m["w"], opt.v["w"]]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert opt.t == 1

@@ -67,9 +67,13 @@ class TestTuningConfig:
 
 
 class TestNspTune:
-    def test_one_positive_rest_negative(self, setup, monkeypatch):
-        """Each parent sample reaches the loss as its encode_candidates pairs
-        with a 0/1 target row marking the gold label's candidate."""
+    @pytest.mark.parametrize("variant", ["coupled_bce", "decoupled_bce", "fine_tune"])
+    def test_one_positive_rest_negative(self, setup, monkeypatch, variant):
+        """With batch_size = len(train) one batch holds every unit.  Coupled:
+        each sample's encode_candidates pairs in a row, with a 0/1 target
+        row marking the gold label's candidate.  Decoupled: every candidate
+        once, with target 1 iff it is the gold label's.  Fine-tuning: each
+        sample's encode_single input, its target row's argmax the gold index."""
         vocab, cfg, task, split = setup
         tok, n_labels = Tokenizer(vocab), len(task.labels)
         model = EncoderModel(cfg, seed=0)
@@ -81,28 +85,41 @@ class TestNspTune:
 
         def loss(model, extra, hidden, targets):
             seen_targets.append(targets)
-            return bce(model, extra, hidden, targets)
+            return original(model, extra, hidden, targets)
 
-        bce = tuning._LOSSES["coupled_bce"]
+        original = tuning._LOSSES[variant]
         monkeypatch.setattr(model, "forward_batch", forward_batch)
-        monkeypatch.setitem(tuning._LOSSES, "coupled_bce", loss)
-        nsp_tune(model, split.train, [], task, vocab,
-                 TuningConfig(epochs=1, batch_size=len(split.train)))
+        monkeypatch.setitem(tuning._LOSSES, variant, loss)
+        train = fine_tune_baseline if variant == "fine_tune" else nsp_tune
+        train(model, split.train, [], task, vocab,
+              TuningConfig(epochs=1, batch_size=len(split.train), variant=variant))
         (inputs,), (targets,) = seen_inputs, seen_targets
-        assert targets.shape == (len(split.train), n_labels)
+        ids = [p.ids.tolist() for p in inputs]
         own = {ex.id: [p.ids.tolist() for p in encode_candidates(ex.text_a, task, tok)]
                for ex in split.train}
-        for ex in split.train:
-            row = [p.ids.tolist() for p in inputs].index(own[ex.id][0]) // n_labels
-            assert [p.ids.tolist() for p in inputs[row * n_labels:(row + 1) * n_labels]] \
-                == own[ex.id]
-            assert targets[row].tolist() == [float(l == ex.label) for l in task.labels]
+        if variant == "fine_tune":
+            assert targets.shape == (len(split.train), n_labels)
+            for ex in split.train:
+                row = ids.index(tok.encode_single(ex.text_a, task.max_len).ids.tolist())
+                assert targets[row].argmax() == task.labels.index(ex.label)
+            assert len(ids) == len(split.train)
+        elif variant == "decoupled_bce":
+            want = sorted((pair, float(label == ex.label)) for ex in split.train
+                          for label, pair in zip(task.labels, own[ex.id]))
+            assert sorted(zip(ids, targets.reshape(-1).tolist())) == want
+        else:
+            assert targets.shape == (len(split.train), n_labels)
+            for ex in split.train:
+                row = ids.index(own[ex.id][0]) // n_labels
+                assert ids[row * n_labels:(row + 1) * n_labels] == own[ex.id]
+                assert targets[row].tolist() == [float(l == ex.label) for l in task.labels]
 
-    def test_unknown_gold_label(self, setup):
+    @pytest.mark.parametrize("train", [nsp_tune, fine_tune_baseline])
+    def test_unknown_gold_label(self, setup, train):
         vocab, cfg, task, split = setup
         bad = Example("x", "text", "weather")
         with pytest.raises(ValidationError, match="weather"):
-            nsp_tune(EncoderModel(cfg, seed=0), [bad], [], task, vocab, TuningConfig())
+            train(EncoderModel(cfg, seed=0), [bad], [], task, vocab, TuningConfig())
 
     def test_history_and_best_epoch(self, setup):
         vocab, cfg, task, split = setup
