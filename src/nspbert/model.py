@@ -208,12 +208,30 @@ class EncoderModel:
         segs = np.stack([p.segment_ids for p in pairs])
         return ids[:, :s], segs[:, :s], attn[:, :s]
 
-    def forward_ids(self, ids, segment_ids, attention_mask):
-        """Hidden states (B, S, H) for a batch of id arrays."""
+    def forward_ids(self, ids, segment_ids, attention_mask, rows=None):
+        """Hidden states (B, S, H) for a batch of id arrays.
+
+        `rows`, the flat indices b * S + s of the real positions, packs the
+        batch: embeddings and all position-wise work (projections, residuals,
+        layer norms, FFN) run on those rows only.  Attention alone scatters Q,
+        K and V to (B, S) with zero pad rows, still masked, and the output is
+        scattered once, with zero pad rows.  A real row's state is what the
+        padded layout gives it, up to float rounding."""
         c = self.config
         self._check_width(ids.shape[1])
         p = self.params
-        pos = np.arange(ids.shape[1])
+        b, s = ids.shape
+        pos = np.arange(s)
+        if rows is not None:
+            ids, segment_ids, pos = ids.reshape(-1)[rows], segment_ids.reshape(-1)[rows], rows % s
+
+        def spread(y):  # packed (N_real, H) -> (B, S, H)
+            return y if rows is None else T.reshape(T.scatter_rows(y, rows, b * s),
+                                                    (b, s, c.hidden))
+
+        def pack(y):  # (B, S, H) -> packed (N_real, H)
+            return y if rows is None else T.take_rows(T.reshape(y, (b * s, c.hidden)), rows)
+
         x = T.add(
             T.add(
                 T.embedding_lookup(p["embeddings.word"], ids),
@@ -227,10 +245,9 @@ class EncoderModel:
         n_heads = c.n_heads
         head_dim = c.hidden // n_heads
         scale = 1.0 / np.sqrt(head_dim)
-        b, s = ids.shape
         for i in range(c.n_layers):
             def proj(name_w, name_b):
-                y = T.add(T.matmul(x, p[name_w]), p[name_b])
+                y = spread(T.add(T.matmul(x, p[name_w]), p[name_b]))
                 y = T.reshape(y, (b, s, n_heads, head_dim))
                 return T.transpose(y, (0, 2, 1, 3))
 
@@ -240,7 +257,7 @@ class EncoderModel:
             scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale), bias)
             probs = T.softmax_rows(scores)
             ctx = T.matmul(probs, v)
-            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, c.hidden))
+            ctx = pack(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, c.hidden)))
             attn_out = T.add(T.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
             x = T.layer_norm(
                 T.add(x, attn_out),
@@ -252,12 +269,14 @@ class EncoderModel:
                 T.add(x, ffn_out),
                 p[f"layer{i}.ffn.ln.gain"], p[f"layer{i}.ffn.ln.bias"],
             )
-        return x
+        return spread(x)
 
     def forward_batch(self, pairs):
-        """Hidden states (B, S, H) of encoded inputs; S is the longest real
-        input's length, not the padded width."""
-        return self.forward_ids(*self._stack(pairs))
+        """Hidden states (B, S, H) of encoded inputs, packed to their real
+        tokens; S is the longest real input's length, not the padded width,
+        and pad rows are zero."""
+        ids, segs, attn = self._stack(pairs)
+        return self.forward_ids(ids, segs, attn, np.flatnonzero(attn))
 
     # ------------------------------------------------------------------
     def cls_hidden(self, hidden):

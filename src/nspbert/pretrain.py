@@ -27,7 +27,8 @@ def vocab_from_documents(documents, max_size=8192, min_freq=1):
 
 def _encode_masked_batch(tok, pairs, max_len, mask_rate, rng):
     """Encode NSP pairs, apply MLM masking, return arrays + targets."""
-    # Full max_len width, not cut as forward_batch is: a cut moves the pre-trained weights.
+    # Full max_len width, neither cut nor packed as forward_batch is: either one
+    # moves the pre-trained weights.
     v = tok.vocab
     encoded = [tok.encode_pair(p.text_a, p.text_b, max_len) for p in pairs]
     ids = np.stack([e.ids for e in encoded])

@@ -216,7 +216,7 @@ def gelu(a):
     a = _as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
-    out = (x * cdf).astype(x.dtype)
+    out = x * cdf
 
     def back(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.astype(np.float64) ** 2)
@@ -232,7 +232,8 @@ def softmax_rows(x):
         raise DimensionError("softmax_rows requires last dimension >= 1")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted, dtype=np.float64)
-    p = (e / e.sum(axis=-1, keepdims=True)).astype(x.data.dtype)
+    e /= e.sum(axis=-1, keepdims=True)
+    p = e.astype(x.data.dtype)
 
     def back(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -248,10 +249,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise DimensionError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} must match last dim of {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = x.data.astype(np.float64).var(axis=-1, keepdims=True)
+    # One float64 copy, centred and scaled in place: the values of
+    # x.var() and (x - mu) * inv, without computing x - mu twice.
+    d = x.data.astype(np.float64)
+    d -= d.mean(axis=-1, keepdims=True)
+    var = np.multiply(d, d).mean(axis=-1, keepdims=True)
     inv = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = ((x.data - mu) * inv).astype(x.data.dtype)
+    d *= inv
+    xhat = d.astype(x.data.dtype)
     out = xhat * gain.data + bias.data
 
     def back(g):
@@ -296,6 +301,33 @@ def gather_positions(x, idx0, idx1):
     def back(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, (idx0, idx1), g)
+        return (gx,)
+
+    return _node(out, (x,), back)
+
+
+def scatter_rows(x, rows, n):
+    """An (n, ...) tensor holding x's rows at the distinct indices `rows`
+    and zeros elsewhere: the inverse of take_rows."""
+    rows = np.asarray(rows)
+    out = np.zeros((n,) + x.shape[1:], dtype=x.data.dtype)
+    out[rows] = x.data
+
+    def back(g):
+        return (g[rows],)
+
+    return _node(out, (x,), back)
+
+
+def take_rows(x, rows):
+    """Rows of x at the distinct indices `rows`: the inverse of
+    scatter_rows, whose assignment is also this op's backward."""
+    rows = np.asarray(rows)
+    out = x.data[rows]
+
+    def back(g):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
         return (gx,)
 
     return _node(out, (x,), back)

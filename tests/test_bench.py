@@ -3,6 +3,7 @@ checkpoint and on the tiny preset's initialisation: `bench/workloads.py` is
 imported as it is, so a change that would end a benchmark run as failed or
 incorrect fails here first."""
 
+import inspect
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -30,6 +31,12 @@ def test_every_traced_name_is_live():
     dead = {(owner, attr) for owner, attr, _ in tracing.SPANNED if attr not in vars(owner)}
     assert dead <= DEAD_SPANS
     assert {op for op in tracing.TENSOR_OPS if op not in vars(nspbert.tensor)} <= DEAD_OPS
+
+
+def test_forward_ids_keeps_the_ids_argument_the_tracer_counts():
+    """The tracer counts positions from forward_ids' positional argument 1."""
+    params = list(inspect.signature(EncoderModel.forward_ids).parameters)
+    assert params[:4] == ["self", "ids", "segment_ids", "attention_mask"]
 
 
 def test_micro_workload_checks_pass(pretrained):

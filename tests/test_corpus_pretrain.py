@@ -254,18 +254,22 @@ class TestPretrainLoop:
         assert run() == run()
 
     def test_forwards_at_full_max_len(self, setup, monkeypatch):
-        """Unlike forward_batch, pre-training is not cut to its longest pair."""
+        """Unlike forward_batch, pre-training is neither cut to its longest pair
+        nor packed to its real tokens: either one moves the pre-trained weights
+        and re-rolls criterion 4 (see ROADMAP's criterion-4 table)."""
         docs, vocab, cfg = setup
-        widths, forward = [], EncoderModel.forward_ids
+        widths, packed, forward = [], [], EncoderModel.forward_ids
 
-        def spy(self, ids, *rest):
+        def spy(self, ids, *rest, **kwargs):
             widths.append(ids.shape[1])
-            return forward(self, ids, *rest)
+            packed.append(len(rest) > 2 or "rows" in kwargs)
+            return forward(self, ids, *rest, **kwargs)
 
         monkeypatch.setattr(EncoderModel, "forward_ids", spy)
         pretrain(EncoderModel(cfg, seed=0), docs, vocab, steps=3, batch_size=4, seed=0,
                  max_len=40)
         assert widths == [40] * 3
+        assert packed == [False] * 3
 
     def test_sentence_too_long_for_max_len_rejected_before_step_0(self, setup):
         """Counted in tokens: one word of 13 punctuation-split tokens does not fit 12."""

@@ -78,6 +78,31 @@ class TestForward:
                 n = int(pair.attention_mask.sum())
                 assert np.max(np.abs(hidden[i, :n] - alone.data[0, :n])) < 1e-6
 
+    def _varied(self, tok):
+        return [tok.encode_pair(a, b, 16) for a, b in
+                [("alpha", "beta"), ("alpha beta gamma delta", "epsilon zeta"),
+                 ("iota kappa", "lambda mu eta"), ("theta", "eta"),
+                 ("mu lambda kappa", "iota")]]
+
+    def test_packed_pad_rows_are_zero(self, tiny_model, tok):
+        pairs = self._varied(tok)
+        with T.no_grad():
+            hidden = tiny_model.forward_batch(pairs).data
+        pad = np.stack([p.attention_mask[: hidden.shape[1]] for p in pairs]) == 0
+        assert pad.any()
+        np.testing.assert_array_equal(hidden[pad], 0.0)
+
+    def test_packed_matches_padded_at_real_rows(self, tiny_model, tok):
+        """forward_batch packs; forward_ids without rows runs every position."""
+        pairs = self._varied(tok)
+        with T.no_grad():
+            packed = tiny_model.forward_batch(pairs)
+            padded = tiny_model.forward_ids(*tiny_model._stack(pairs))
+            real = tiny_model._stack(pairs)[2] == 1
+            assert np.max(np.abs(packed.data[real] - padded.data[real])) < 1e-6
+            assert np.array_equal(tiny_model.nsp_probs(packed).data.argmax(axis=1),
+                                  tiny_model.nsp_probs(padded).data.argmax(axis=1))
+
     def test_token_permutation_changes_cls(self, tiny_model, tok):
         p1 = tok.encode_pair("alpha beta", "gamma", 16)
         p2 = tok.encode_pair("beta alpha", "gamma", 16)

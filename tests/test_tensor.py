@@ -306,6 +306,33 @@ class TestGatherPositions:
         assert rel_err(x.grad, fd_grad(f, x0)) < 1e-6
 
 
+class TestRowOps:
+    ROWS = np.array([5, 0, 3, 6])  # unsorted, distinct
+
+    def test_take_rows_undoes_scatter_rows_exactly(self):
+        x = np.random.default_rng(12).standard_normal((4, 3)).astype(np.float32)
+        spread = T.scatter_rows(Tensor(x), self.ROWS, 8)
+        assert spread.shape == (8, 3)
+        np.testing.assert_array_equal(np.delete(spread.data, self.ROWS, axis=0), 0.0)
+        np.testing.assert_array_equal(T.take_rows(spread, self.ROWS).data, x)
+
+    @pytest.mark.parametrize("op, shape", [
+        (lambda x, rows: T.scatter_rows(x, rows, 8), (4, 3)),
+        (T.take_rows, (8, 3)),
+    ])
+    def test_gradient_matches_finite_differences(self, op, shape):
+        rng = np.random.default_rng(13)
+        x0 = rng.uniform(-2, 2, shape)
+        w = rng.uniform(-2, 2, op(Tensor(x0), self.ROWS).shape)
+
+        def f(x):
+            return float((op(Tensor(x), self.ROWS).data * w).sum())
+
+        x = Tensor(x0, requires_grad=True)
+        T.backward(T.sum_all(T.mul(op(x, self.ROWS), Tensor(w))))
+        assert rel_err(x.grad, fd_grad(f, x0)) < 1e-6
+
+
 def adam_step_reference(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The Adam update as one expression per line, a temporary per op."""
     m *= beta1
