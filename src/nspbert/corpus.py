@@ -156,7 +156,7 @@ def sample_nsp_pairs(documents, n, seed):
     return [sample_nsp_pair(documents, rng) for _ in range(n)]
 
 
-def mask_tokens(ids, rate, rng, mask_id, special_ids, vocab_size, first_regular_id=5):
+def mask_tokens(ids, rate, rng, mask_id, special_ids, vocab_size):
     """BERT-style masking: select ~rate of non-special positions; of the
     selected, 80% become [MASK], 10% a random regular token, 10% stay.
 
@@ -178,6 +178,6 @@ def mask_tokens(ids, rate, rng, mask_id, special_ids, vocab_size, first_regular_
         if r < 0.8:
             masked[pos] = mask_id
         elif r < 0.9:
-            masked[pos] = int(rng.integers(first_regular_id, vocab_size))
+            masked[pos] = int(rng.integers(max(special_ids) + 1, vocab_size))
         # else: keep the original token
     return masked, positions, targets

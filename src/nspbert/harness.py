@@ -31,6 +31,7 @@ from .scoring import (
 )
 from .tokenizer import Tokenizer
 from .tuning import (
+    CHUNK,
     VARIANTS,
     TuneResult,
     TuningConfig,
@@ -171,7 +172,7 @@ def make_synthetic_task(corpus_cfg, task_type, seed, n_documents=250):
 # Evaluation
 
 
-def score_pairs(model, vocab, examples, task, chunk=64):
+def score_pairs(model, vocab, examples, task):
     """IsNext probability of (text_a, text_b) for every example."""
     tok = Tokenizer(vocab)
     pairs = []
@@ -180,7 +181,7 @@ def score_pairs(model, vocab, examples, task, chunk=64):
             pairs.append(tok.encode_pair(ex.text_a, ex.text_b, task.max_len))
         except ValidationError as e:
             raise ValidationError(f"example {ex.id!r}: text_b {e}") from e
-    qs = run_head(model, pairs, isnext_head, chunk)
+    qs = run_head(model, pairs, isnext_head, CHUNK)
     return [ScoredSample(ex.id, float(q), gold=ex.label) for ex, q in zip(examples, qs)]
 
 

@@ -209,14 +209,14 @@ class EncoderModel:
         return ids[:, :s], segs[:, :s], attn[:, :s]
 
     def forward_ids(self, ids, segment_ids, attention_mask, rows=None):
-        """Hidden states (B, S, H) for a batch of id arrays.
+        """Hidden states (B, S, H) of a batch of id arrays.
 
         `rows`, the flat indices b * S + s of the real positions, packs the
         batch: embeddings and all position-wise work (projections, residuals,
-        layer norms, FFN) run on those rows only.  Attention alone scatters Q,
-        K and V to (B, S) with zero pad rows, still masked, and the output is
-        scattered once, with zero pad rows.  A real row's state is what the
-        padded layout gives it, up to float rounding."""
+        layer norms, FFN) run on those rows only, and the output is their
+        (N_real, H) states in `rows` order.  Attention alone scatters Q, K and
+        V to (B, S) with zero pad rows, still masked.  A real row's state is
+        what the padded layout gives it, up to float rounding."""
         c = self.config
         self._check_width(ids.shape[1])
         p = self.params
@@ -269,38 +269,38 @@ class EncoderModel:
                 T.add(x, ffn_out),
                 p[f"layer{i}.ffn.ln.gain"], p[f"layer{i}.ffn.ln.bias"],
             )
-        return spread(x)
+        return x
 
-    def forward_batch(self, pairs):
-        """Hidden states (B, S, H) of encoded inputs, packed to their real
-        tokens; S is the longest real input's length, not the padded width,
-        and pad rows are zero."""
+    def forward_batch(self, pairs, positions=None):
+        """(N, H) hidden states of encoded inputs at the distinct `positions`,
+        a pair of arrays (input index, token position), by default each
+        input's [CLS].  The batch is packed to its real tokens, so a position
+        that is padding, or past the longest real input, raises."""
         ids, segs, attn = self._stack(pairs)
-        return self.forward_ids(ids, segs, attn, np.flatnonzero(attn))
+        rows, width = np.flatnonzero(attn), attn.shape[1]
+        b, s = (np.arange(len(pairs)), 0) if positions is None else map(np.asarray, positions)
+        flat = b * width + s
+        if not (np.all((0 <= s) & (s < width)) and np.isin(flat, rows).all()):
+            raise DimensionError("forward_batch positions must name real tokens")
+        return T.take_rows(self.forward_ids(ids, segs, attn, rows), np.searchsorted(rows, flat))
 
     # ------------------------------------------------------------------
-    def cls_hidden(self, hidden):
-        """(B, H) hidden vector at the [CLS] position."""
-        return T.take_index(hidden, 0, axis=1)
-
     def nsp_logits(self, hidden):
-        """(B, 2) logits (IsNext, NotNext) via the tanh pooler."""
+        """(B, 2) logits (IsNext, NotNext) of (B, H) [CLS] states, tanh-pooled."""
         p = self.params
-        h = self.cls_hidden(hidden)
-        pooled = T.tanh_op(T.add(T.matmul(h, T.transpose(p["nsp.pool.w"], (1, 0))),
+        pooled = T.tanh_op(T.add(T.matmul(hidden, T.transpose(p["nsp.pool.w"], (1, 0))),
                                  p["nsp.pool.b"]))
         return T.add(T.matmul(pooled, T.transpose(p["nsp.out.w"], (1, 0))), p["nsp.out.b"])
 
     def nsp_probs(self, hidden):
-        """(B, 2) probabilities (IsNext, NotNext)."""
+        """(B, 2) probabilities (IsNext, NotNext) of (B, H) [CLS] states."""
         return T.softmax_rows(self.nsp_logits(hidden))
 
     # ------------------------------------------------------------------
-    def mlm_logits(self, hidden, batch_idx, pos_idx):
-        """(M, vocab) logits at selected positions; projection tied to embeddings."""
+    def mlm_logits(self, hidden):
+        """(M, vocab) logits of (M, H) hidden states; projection tied to embeddings."""
         p = self.params
-        rows = T.gather_positions(hidden, batch_idx, pos_idx)
-        t = T.gelu(T.add(T.matmul(rows, p["mlm.transform.w"]), p["mlm.transform.b"]))
+        t = T.gelu(T.add(T.matmul(hidden, p["mlm.transform.w"]), p["mlm.transform.b"]))
         t = T.layer_norm(t, p["mlm.ln.gain"], p["mlm.ln.bias"])
         return T.add(T.matmul(t, T.transpose(p["embeddings.word"], (1, 0))), p["mlm.bias"])
 

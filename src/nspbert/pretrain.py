@@ -18,7 +18,7 @@ from .corpus import ISNEXT_LABEL, SyntheticCorpusConfig, mask_tokens, sample_nsp
 from .errors import ValidationError
 from .model import ISNEXT, NOTNEXT, PRESETS
 from .tokenizer import Tokenizer, build_vocab
-from .tuning import nsp_head, run_head
+from .tuning import CHUNK, run_head
 
 
 def vocab_from_documents(documents, max_size=8192, min_freq=1):
@@ -105,9 +105,10 @@ def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_siz
             tok, pairs, max_len, mask_rate, rng
         )
         hidden = model.forward_ids(ids, segs, attn)
-        nsp_loss = T.cross_entropy(model.nsp_logits(hidden), nsp_t)
+        nsp_loss = T.cross_entropy(model.nsp_logits(T.take_index(hidden, 0, axis=1)), nsp_t)
         if len(bidx):
-            mlm_loss = T.cross_entropy(model.mlm_logits(hidden, bidx, pidx), mlm_t)
+            mlm_logits = model.mlm_logits(T.gather_positions(hidden, bidx, pidx))
+            mlm_loss = T.cross_entropy(mlm_logits, mlm_t)
             total = T.add(mlm_loss, nsp_loss)
             mlm_val = mlm_loss.item()
         else:
@@ -120,10 +121,11 @@ def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_siz
     return trace
 
 
-def nsp_accuracy(model, vocab, pairs, max_len=28, batch_size=64):
-    """Accuracy of argmax NSP prediction on labeled pairs."""
+def nsp_accuracy(model, vocab, pairs):
+    """Accuracy of argmax NSP prediction on labeled pairs at the pre-training width."""
     tok = Tokenizer(vocab)
-    encoded = [tok.encode_pair(p.text_a, p.text_b, max_len) for p in pairs]
-    pred = run_head(model, encoded, nsp_head, batch_size).argmax(axis=1)
+    encoded = [tok.encode_pair(p.text_a, p.text_b, PretrainConfig.max_len) for p in pairs]
+    pred = run_head(model, encoded, lambda m, batch: m.nsp_probs(m.forward_batch(batch)).data,
+                    CHUNK).argmax(axis=1)
     gold = np.array([ISNEXT if p.label == ISNEXT_LABEL else NOTNEXT for p in pairs])
     return int((pred == gold).sum()) / len(pairs)

@@ -197,13 +197,14 @@ def cloze_inputs(texts, task, vocab):
     return inputs
 
 
-def pet_head(model, hidden, batch):
+def pet_head(model, batch):
     """Per cloze input, the product of its target ids' MLM probabilities at
     its mask positions, taken in position order."""
     rows = [(b, pos, tid) for b, enc in enumerate(batch)
             for pos, tid in zip(enc.mask_positions, enc.mask_targets)]
     batch_idx, pos_idx, target_ids = (np.array(col) for col in zip(*rows))
-    probs = T.softmax_rows(model.mlm_logits(hidden, batch_idx, pos_idx)).data
+    hidden = model.forward_batch(batch, (batch_idx, pos_idx))
+    probs = T.softmax_rows(model.mlm_logits(hidden)).data
     products = np.ones(len(batch))
     np.multiply.at(products, batch_idx, probs[np.arange(len(rows)), target_ids])
     return products

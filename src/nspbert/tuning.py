@@ -11,10 +11,10 @@ coupled variant's unit is a sample, so its instances share a batch; the
 decoupled variant's unit is one instance.  The final model is the best
 dev-accuracy epoch.
 
-Every scoring path forwards through `run_head`, a batched no-grad forward
-whose head receives each chunk's hidden states and inputs, and every label
-prediction is `predict_candidates_batch`'s argmax over an example's head
-scores.  Candidate prompts are encoded by `encode_candidates` alone.
+Every scoring path runs through `run_head`, whose head forwards each chunk
+of inputs itself, asking `forward_batch` for the rows it reads, and every
+label prediction is `predict_candidates_batch`'s argmax over an example's
+head scores.  Candidate prompts are encoded by `encode_candidates` alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .model import ISNEXT, EncoderModel, _trunc_normal, init_arrays
 from .prompting import PREFIX, render_single
 from .tensor import Tensor
 from .tokenizer import Tokenizer
+
+CHUNK = 64  # examples per scoring forward
 
 VARIANTS = (
     "coupled_bce",
@@ -71,26 +73,20 @@ def encode_candidates(text, task, tok):
     return pairs
 
 
-def isnext_head(model, hidden, batch):
+def isnext_head(model, batch):
     """IsNext probability of each input."""
-    return model.nsp_probs(hidden).data[:, ISNEXT]
+    return model.nsp_probs(model.forward_batch(batch)).data[:, ISNEXT]
 
 
-def nsp_head(model, hidden, batch):
-    """(IsNext, NotNext) probabilities of each input."""
-    return model.nsp_probs(hidden).data
+def _fresh_logits(hidden, extra):
+    """Logits of the fresh linear head {"head_w", "head_b"} on [CLS] states."""
+    return T.add(T.matmul(hidden, T.transpose(extra["head_w"], (1, 0))), extra["head_b"])
 
 
-def _fresh_logits(model, hidden, extra):
-    """Logits of the fresh linear head {"head_w", "head_b"} on [CLS]."""
-    h = model.cls_hidden(hidden)
-    return T.add(T.matmul(h, T.transpose(extra["head_w"], (1, 0))), extra["head_b"])
-
-
-def _own_logits(model, hidden, extra):
+def _own_logits(hidden, extra):
     """Candidate j's fresh-head output j on its own input; the inputs must
     be whole candidate sets in label order."""
-    logits = _fresh_logits(model, hidden, extra)
+    logits = _fresh_logits(hidden, extra)
     rows = np.arange(logits.shape[0])
     return T.gather_positions(logits, rows, rows % logits.shape[1])
 
@@ -100,12 +96,12 @@ _FRESH_SCORES = {"fine_tune": _fresh_logits, "linear_head_softmax": _own_logits}
 
 
 def run_head(model, inputs, head, chunk):
-    """head(model, hidden, batch) of encoded inputs, forwarded `chunk` at a
-    time without gradients, concatenated into one numpy array."""
+    """head(model, batch) of encoded inputs, `chunk` at a time without
+    gradients, concatenated into one numpy array."""
     out = []
     with T.no_grad():
         for batch in (inputs[i : i + chunk] for i in range(0, len(inputs), chunk)):
-            out.append(head(model, model.forward_batch(batch), batch))
+            out.append(head(model, batch))
     return np.concatenate(out) if out else np.empty(0)
 
 
@@ -119,15 +115,14 @@ def _candidate_inputs(examples, task, vocab):
     return [p for ex in examples for p in encode_candidates(ex.text_a, task, tok)]
 
 
-def predict_candidates_batch(model, vocab, examples, task, chunk=64, head=isnext_head,
-                             pairs=None):
+def predict_candidates_batch(model, vocab, examples, task, head=isnext_head, pairs=None):
     """Per example, the label of its highest head score: one per candidate, or
-    a |Y|-wide row per single input.  `chunk` * |Y| inputs share a forward.
+    a |Y|-wide row per single input.  CHUNK * |Y| inputs share a forward.
     `pairs` are the examples' inputs, NSP candidates encoded here if not given."""
     if pairs is None:
         pairs = _candidate_inputs(examples, task, vocab)
     n_labels = len(task.labels)
-    scores = run_head(model, pairs, head, chunk * n_labels).reshape(-1, n_labels)
+    scores = run_head(model, pairs, head, CHUNK * n_labels).reshape(-1, n_labels)
     return [task.labels[i] for i in scores.argmax(axis=1)]
 
 
@@ -157,7 +152,7 @@ class TuneResult:
             inputs = self.encode(examples, task, vocab)
         score = _FRESH_SCORES.get(self.variant)
         head = isnext_head if score is None else (
-            lambda model, hidden, batch: score(model, hidden, self.extra).data)
+            lambda model, batch: score(model.forward_batch(batch), self.extra).data)
         return predict_candidates_batch(self.model, vocab, examples, task, head=head,
                                         pairs=inputs)
 
@@ -165,7 +160,7 @@ class TuneResult:
 # ---------------------------------------------------------------------------
 # Training
 #
-# A loss function maps (model, fresh head, hidden states, targets) to a scalar
+# A loss function maps (model, fresh head, [CLS] states, targets) to a scalar
 # loss tensor.  Targets are 0/1 rows marking the gold label: one row of |Y|
 # per sample, or one 1-wide row per instance in decoupled batches.
 
@@ -181,12 +176,12 @@ def _softmax_loss(model, extra, hidden, targets):
 
 
 def _linear_head_loss(model, extra, hidden, targets):
-    scores = _own_logits(model, hidden, extra)
+    scores = _own_logits(hidden, extra)
     return T.cross_entropy(T.reshape(scores, targets.shape), targets.argmax(axis=1))
 
 
 def _class_loss(model, extra, hidden, targets):
-    return T.cross_entropy(_fresh_logits(model, hidden, extra), targets.argmax(axis=1))
+    return T.cross_entropy(_fresh_logits(hidden, extra), targets.argmax(axis=1))
 
 
 _LOSSES = {

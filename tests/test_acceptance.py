@@ -467,10 +467,10 @@ class TestCriterion8:
                                         task.max_len)
                     targets = tok.encode(task.verbalizer(label))
                     with T.no_grad():
-                        logits = model.mlm_logits(
-                            model.forward_batch([masked]),
-                            np.zeros(len(masked.mask_positions), dtype=np.int64),
-                            np.array(masked.mask_positions))
+                        logits = model.mlm_logits(model.forward_batch(
+                            [masked],
+                            (np.zeros(len(masked.mask_positions), dtype=np.int64),
+                             np.array(masked.mask_positions))))
                         probs = T.softmax_rows(logits).data
                     factors = [float(row[t]) for row, t in zip(probs, targets)]
                     factor_lists.append(factors)

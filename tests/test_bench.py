@@ -33,6 +33,21 @@ def test_every_traced_name_is_live():
     assert {op for op in tracing.TENSOR_OPS if op not in vars(nspbert.tensor)} <= DEAD_OPS
 
 
+def test_every_live_traced_name_is_reached(pretrained):
+    """A live name that no benchmark call reaches reads 0 as a dead one does,
+    as when a refactor routes calls around it: one traced micro round
+    records the span of every live entry."""
+    state = workloads.setup(workloads.WORKLOADS["micro"], pretrained["checkpoint"], 1)
+    tracer = tracing.Tracer()
+    tracer.install(0)
+    try:
+        workloads.run_round(state, 0, defaultdict(list))
+    finally:
+        tracer.uninstall()
+    live = {name for owner, attr, name in tracing.SPANNED if attr in vars(owner)}
+    assert live - set(tracer.names) == set()
+
+
 def test_forward_ids_keeps_the_ids_argument_the_tracer_counts():
     """The tracer counts positions from forward_ids' positional argument 1."""
     params = list(inspect.signature(EncoderModel.forward_ids).parameters)

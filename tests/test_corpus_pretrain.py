@@ -308,8 +308,10 @@ class TestPretrainLoop:
         tracemalloc.start()
         try:
             hidden = model.forward_ids(ids, segs, attn)
-            loss = T.add(T.cross_entropy(model.mlm_logits(hidden, bidx, pidx), mlm_t),
-                         T.cross_entropy(model.nsp_logits(hidden), nsp_t))
+            mlm_logits = model.mlm_logits(T.gather_positions(hidden, bidx, pidx))
+            loss = T.add(T.cross_entropy(mlm_logits, mlm_t),
+                         T.cross_entropy(model.nsp_logits(T.take_index(hidden, 0, axis=1)),
+                                         nsp_t))
             T.backward(loss)
             held = tracemalloc.get_traced_memory()[0]
         finally:

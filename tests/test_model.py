@@ -45,38 +45,44 @@ class TestForward:
         assert short.attention_mask.sum() < long.attention_mask.sum() < 16
         return short, long
 
+    def _real(self, pairs):
+        """(input index, position) of every real token of the inputs."""
+        return np.nonzero(np.stack([p.attention_mask for p in pairs]))
+
     def test_output_shape(self, tiny_model, tok):
-        """The width is the longest real input's length, not the padded 16."""
+        """One row per input by default, one per named position otherwise."""
         short, long = self._mixed(tok)
-        hidden = tiny_model.forward_batch([short, long])
-        assert hidden.shape == (2, long.attention_mask.sum(), tiny_model.config.hidden)
+        assert tiny_model.forward_batch([short, long]).shape == (2, tiny_model.config.hidden)
+        real = self._real([short, long])
+        assert tiny_model.forward_batch([short, long], real).shape == \
+            (len(real[0]), tiny_model.config.hidden)
 
     def test_pad_id_change_does_not_leak(self, tiny_model, tok):
         short, long = self._mixed(tok)
-        base = tiny_model.forward_batch([short, long]).data.copy()
+        real = self._real([short, long])
+        base = tiny_model.forward_batch([short, long], real).data.copy()
         pad_pos = int(short.attention_mask.sum())  # short's first pad
-        assert pad_pos < base.shape[1]  # is forwarded
+        assert pad_pos < long.attention_mask.sum()  # is forwarded
         short.ids[pad_pos] = tok.vocab.index["mu"]
-        changed = tiny_model.forward_batch([short, long]).data
-        active = short.attention_mask[: base.shape[1]] == 1
-        assert np.max(np.abs(base[0][active] - changed[0][active])) < 1e-6
-        assert np.max(np.abs(base[1] - changed[1])) < 1e-6
+        changed = tiny_model.forward_batch([short, long], real).data
+        assert np.max(np.abs(base - changed)) < 1e-6
 
     def test_cut_batch_matches_each_input_alone_at_full_width(self, tiny_model, tok):
         pairs = [tok.encode_pair(a, b, 16) for a, b in
                  [("alpha", "beta"), ("alpha beta gamma delta", "epsilon zeta"),
                   ("iota kappa", "lambda mu eta"), ("theta", "eta")]]
         together = run_head(tiny_model, pairs, isnext_head, len(pairs))
+        b, s = self._real(pairs)
         with T.no_grad():
-            hidden = tiny_model.forward_batch(pairs).data
+            hidden = tiny_model.forward_batch(pairs, (b, s)).data
             for i, pair in enumerate(pairs):
                 alone = tiny_model.forward_ids(pair.ids[None], pair.segment_ids[None],
                                                pair.attention_mask[None])
                 assert alone.shape[1] == 16
-                q = isnext_head(tiny_model, alone, [pair])[0]
+                q = tiny_model.nsp_probs(T.take_index(alone, 0, axis=1)).data[0, ISNEXT]
                 assert abs(together[i] - q) < 1e-6
                 n = int(pair.attention_mask.sum())
-                assert np.max(np.abs(hidden[i, :n] - alone.data[0, :n])) < 1e-6
+                assert np.max(np.abs(hidden[b == i] - alone.data[0, :n])) < 1e-6
 
     def _varied(self, tok):
         return [tok.encode_pair(a, b, 16) for a, b in
@@ -84,30 +90,48 @@ class TestForward:
                  ("iota kappa", "lambda mu eta"), ("theta", "eta"),
                  ("mu lambda kappa", "iota")]]
 
-    def test_packed_pad_rows_are_zero(self, tiny_model, tok):
+    def test_rows_are_the_padded_states_at_the_named_positions(self, tiny_model, tok):
+        """forward_batch gives each input's [CLS] row, or the rows it is asked
+        for in the order asked, as forward_ids without rows computes them."""
         pairs = self._varied(tok)
+        rng = np.random.default_rng(0)
+        b, s = self._real(pairs)
+        pick = rng.permutation(len(b))[:7]
         with T.no_grad():
-            hidden = tiny_model.forward_batch(pairs).data
-        pad = np.stack([p.attention_mask[: hidden.shape[1]] for p in pairs]) == 0
-        assert pad.any()
-        np.testing.assert_array_equal(hidden[pad], 0.0)
+            padded = tiny_model.forward_ids(*tiny_model._stack(pairs)).data
+            cls = tiny_model.forward_batch(pairs).data
+            named = tiny_model.forward_batch(pairs, (b[pick], s[pick])).data
+        assert np.max(np.abs(cls - padded[:, 0])) < 1e-6
+        assert np.max(np.abs(named - padded[b[pick], s[pick]])) < 1e-6
+
+    @pytest.mark.parametrize("where", ["pad", "past the cut", "negative", "no input"])
+    def test_position_outside_the_real_tokens_rejected(self, tiny_model, tok, where):
+        pairs = self._varied(tok)
+        width = max(int(p.attention_mask.sum()) for p in pairs)
+        short = min(range(len(pairs)), key=lambda i: pairs[i].attention_mask.sum())
+        position = {"pad": (short, int(pairs[short].attention_mask.sum())),
+                    "past the cut": (0, width), "negative": (0, -1),
+                    "no input": (len(pairs), 0)}[where]
+        with pytest.raises(DimensionError, match="real tokens"):
+            tiny_model.forward_batch(pairs, ([position[0]], [position[1]]))
 
     def test_packed_matches_padded_at_real_rows(self, tiny_model, tok):
-        """forward_batch packs; forward_ids without rows runs every position."""
+        """forward_ids with rows packs; without them it runs every position."""
         pairs = self._varied(tok)
         with T.no_grad():
-            packed = tiny_model.forward_batch(pairs)
-            padded = tiny_model.forward_ids(*tiny_model._stack(pairs))
-            real = tiny_model._stack(pairs)[2] == 1
-            assert np.max(np.abs(packed.data[real] - padded.data[real])) < 1e-6
-            assert np.array_equal(tiny_model.nsp_probs(packed).data.argmax(axis=1),
-                                  tiny_model.nsp_probs(padded).data.argmax(axis=1))
+            ids, segs, attn = tiny_model._stack(pairs)
+            packed = tiny_model.forward_ids(ids, segs, attn, np.flatnonzero(attn))
+            padded = tiny_model.forward_ids(ids, segs, attn)
+            assert np.max(np.abs(packed.data - padded.data[attn == 1])) < 1e-6
+            assert np.array_equal(
+                tiny_model.nsp_probs(tiny_model.forward_batch(pairs)).data.argmax(axis=1),
+                tiny_model.nsp_probs(T.take_index(padded, 0, axis=1)).data.argmax(axis=1))
 
     def test_token_permutation_changes_cls(self, tiny_model, tok):
         p1 = tok.encode_pair("alpha beta", "gamma", 16)
         p2 = tok.encode_pair("beta alpha", "gamma", 16)
-        h1 = tiny_model.forward_batch([p1]).data[0, 0]
-        h2 = tiny_model.forward_batch([p2]).data[0, 0]
+        h1 = tiny_model.forward_batch([p1]).data[0]
+        h2 = tiny_model.forward_batch([p2]).data[0]
         assert np.max(np.abs(h1 - h2)) > 1e-5
 
     def test_length_overflow_rejected(self, tok):
@@ -140,8 +164,8 @@ class TestMlmHead:
                             Verbalizer({"x": "alpha"}), "x", tok, 16)
         assert masked.mask_positions == [1]
         with T.no_grad():
-            logits = tiny_model.mlm_logits(tiny_model.forward_batch([masked]),
-                                           [0], masked.mask_positions)
+            logits = tiny_model.mlm_logits(
+                tiny_model.forward_batch([masked], ([0], masked.mask_positions)))
             probs = T.softmax_rows(logits).data
         assert probs.shape == (1, len(tok.vocab))
         assert abs(probs.sum() - 1.0) < 1e-6

@@ -2,6 +2,7 @@
 dev-set thresholds, PET scoring, the histogram emitter and the JSONL reader."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,7 @@ from nspbert.scoring import (
     thresholds_from_dev,
 )
 from nspbert.tokenizer import build_vocab
-from nspbert.tuning import accuracy, predict_candidates_batch
+from nspbert.tuning import accuracy, predict_candidates_batch, run_head
 from conftest import STANDARD_CORPUS
 
 
@@ -321,6 +322,45 @@ class TestModelScoring:
                                                           vocab))
         assert got == want
         assert evaluate(model, vocab, data, task, "zero_shot_pet") == accuracy(want, data)
+
+
+class TestHeadRows:
+    """Each head asks forward_batch for exactly the rows it reads."""
+
+    @staticmethod
+    def _spy(model, monkeypatch):
+        asked = []
+
+        def forward_batch(pairs, positions=None):
+            asked.append((pairs, positions))
+            return EncoderModel.forward_batch(model, pairs, positions)
+
+        monkeypatch.setattr(model, "forward_batch", forward_batch)
+        return asked
+
+    def test_pet_head_asks_for_its_mask_positions(self, small_setup, monkeypatch):
+        model, vocab, task = small_setup
+        task = dataclasses.replace(
+            task, verbalizer=Verbalizer({"sports": "good game", "politics": "bad"}))
+        inputs = cloze_inputs(["good game tonight", "bad story here", "this is news"],
+                              task, vocab)
+        asked = self._spy(model, monkeypatch)
+        run_head(model, inputs, pet_head, 4)
+        assert [len(pairs) for pairs, _ in asked] == [4, 2]
+        for pairs, (b, s) in asked:
+            want = [(i, p) for i, enc in enumerate(pairs) for p in enc.mask_positions]
+            assert len(want) > len(pairs)  # a two-word phrase masks two positions
+            assert list(zip(b.tolist(), s.tolist())) == want
+
+    def test_isnext_head_asks_for_cls(self, small_setup, monkeypatch):
+        model, vocab, task = small_setup
+        examples = [Example(i, text, "sports") for i, text in
+                    enumerate(["good game tonight", "bad story here", "this is news"])]
+        asked = self._spy(model, monkeypatch)
+        predict_candidates_batch(model, vocab, examples, task)
+        score_candidates(model, vocab, "good game tonight", task)
+        assert len(asked) == 2
+        assert all(positions is None for _, positions in asked)  # the default: [CLS]
 
 
 class TestEmitters:

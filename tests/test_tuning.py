@@ -114,6 +114,25 @@ class TestNspTune:
                 assert ids[row * n_labels:(row + 1) * n_labels] == own[ex.id]
                 assert targets[row].tolist() == [float(l == ex.label) for l in task.labels]
 
+    @pytest.mark.parametrize("variant", VARIANTS + ("fine_tune",))
+    def test_heads_and_losses_ask_for_cls_only(self, setup, monkeypatch, variant):
+        """Training, dev evaluation and prediction forward with forward_batch's
+        default positions, each input's [CLS]: every loss and head reads it only."""
+        vocab, cfg, task, split = setup
+        model = EncoderModel(cfg, seed=0)
+        asked = []
+
+        def forward_batch(pairs, positions=None):
+            asked.append(positions)
+            return EncoderModel.forward_batch(model, pairs, positions)
+
+        monkeypatch.setattr(model, "forward_batch", forward_batch)
+        train = fine_tune_baseline if variant == "fine_tune" else nsp_tune
+        res = train(model, split.train, split.dev, task, vocab,
+                    TuningConfig(epochs=1, batch_size=2, variant=variant))
+        res.predict(split.test, task, vocab)
+        assert len(asked) == 3 + 2 and asked == [None] * len(asked)
+
     @pytest.mark.parametrize("train", [nsp_tune, fine_tune_baseline])
     def test_unknown_gold_label(self, setup, train):
         vocab, cfg, task, split = setup
