@@ -87,29 +87,27 @@ class NspPairExample:
 def generate_corpus(cfg, id_prefix="doc"):
     """Deterministic synthetic corpus; one topic tag per document."""
     rng = np.random.default_rng(cfg.seed)
+    random, integers = rng.random, rng.integers
     all_shared = cfg.shared_lexicon()
+    lexicons = [cfg.topic_lexicon(topic) for topic in range(cfg.n_topics)]
     docs = []
     for d in range(cfg.n_documents):
-        topic = int(rng.integers(cfg.n_topics))
-        lexicon = cfg.topic_lexicon(topic)
+        topic = int(integers(cfg.n_topics))
+        lexicon = lexicons[topic]
         if cfg.words_per_document and cfg.words_per_document < len(lexicon):
             picks = rng.choice(len(lexicon), size=cfg.words_per_document, replace=False)
             lexicon = [lexicon[i] for i in picks]
         shared = all_shared
         if cfg.shared_styles > 1:
             size = len(all_shared) // cfg.shared_styles
-            style = int(rng.integers(cfg.shared_styles))
+            style = int(integers(cfg.shared_styles))
             shared = all_shared[style * size : (style + 1) * size]
         sentences = []
         for _ in range(cfg.sentences_per_document):
-            n = int(rng.integers(cfg.sentence_len_min, cfg.sentence_len_max + 1))
-            words = []
-            for _ in range(n):
-                if rng.random() < cfg.concentration:
-                    words.append(lexicon[int(rng.integers(len(lexicon)))])
-                else:
-                    words.append(shared[int(rng.integers(len(shared)))])
-            sentences.append(" ".join(words))
+            n = int(integers(cfg.sentence_len_min, cfg.sentence_len_max + 1))
+            sentences.append(" ".join([
+                lexicon[integers(len(lexicon))] if random() < cfg.concentration
+                else shared[integers(len(shared))] for _ in range(n)]))
         docs.append(Document(f"{id_prefix}-{d}", topic, sentences))
     return docs
 

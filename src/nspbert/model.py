@@ -69,12 +69,14 @@ class EncoderConfig:
 
 
 def _trunc_normal(rng, shape, std=0.02):
-    """Truncated normal at 2 std, by redraw."""
+    """Truncated normal at 2 std, by redraw; each pass re-checks only the
+    entries it redrew."""
     vals = rng.standard_normal(shape) * std
-    bad = np.abs(vals) > 2 * std
-    while bad.any():
-        vals[bad] = rng.standard_normal(bad.sum()) * std
-        bad = np.abs(vals) > 2 * std
+    flat = vals.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size) * std
+        bad = bad[np.abs(flat[bad]) > 2 * std]
     return vals.astype(np.float32)
 
 
@@ -208,15 +210,20 @@ class EncoderModel:
         segs = np.stack([p.segment_ids for p in pairs])
         return ids[:, :s], segs[:, :s], attn[:, :s]
 
-    def forward_ids(self, ids, segment_ids, attention_mask, rows=None):
-        """Hidden states (B, S, H) of a batch of id arrays.
+    def forward_ids(self, ids, segment_ids, attention_mask, rows=None, keep=None):
+        """Hidden states of a batch of id arrays: (B, S, H) without `rows`.
 
         `rows`, the flat indices b * S + s of the real positions, packs the
         batch: embeddings and all position-wise work (projections, residuals,
         layer norms, FFN) run on those rows only, and the output is their
         (N_real, H) states in `rows` order.  Attention alone scatters Q, K and
-        V to (B, S) with zero pad rows, still masked.  A real row's state is
-        what the padded layout gives it, up to float rounding."""
+        V to (B, S) with zero pad rows, still masked.  `keep`, distinct indices
+        into `rows`, cuts the last layer to the rows a caller reads: its K and
+        V still run on every real row, its queries and everything after them
+        on the kept rows only, which sit in (B, Kmax) query slots (a row's slot
+        is its rank among its own input's kept rows), and the output is their
+        (len(keep), H) states in `keep` order.  A row's state is what the
+        padded layout gives it, up to float rounding."""
         c = self.config
         self._check_width(ids.shape[1])
         p = self.params
@@ -224,13 +231,20 @@ class EncoderModel:
         pos = np.arange(s)
         if rows is not None:
             ids, segment_ids, pos = ids.reshape(-1)[rows], segment_ids.reshape(-1)[rows], rows % s
+        if keep is not None:
+            kept_b = rows[keep] // s  # each kept row's input
+            order = np.argsort(kept_b, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size) - np.searchsorted(kept_b[order], kept_b[order])
+            kmax = int(rank.max(initial=0)) + 1
+            kept_slots = kept_b * kmax + rank
 
-        def spread(y):  # packed (N_real, H) -> (B, S, H)
-            return y if rows is None else T.reshape(T.scatter_rows(y, rows, b * s),
-                                                    (b, s, c.hidden))
+        def spread(y, slots, width):  # packed (N, H) -> (B, width, H)
+            return y if slots is None else T.reshape(T.scatter_rows(y, slots, b * width),
+                                                     (b, width, c.hidden))
 
-        def pack(y):  # (B, S, H) -> packed (N_real, H)
-            return y if rows is None else T.take_rows(T.reshape(y, (b * s, c.hidden)), rows)
+        def pack(y, slots, width):  # (B, width, H) -> packed (N, H)
+            return y if slots is None else T.take_rows(T.reshape(y, (b * width, c.hidden)), slots)
 
         x = T.add(
             T.add(
@@ -245,19 +259,28 @@ class EncoderModel:
         n_heads = c.n_heads
         head_dim = c.hidden // n_heads
         scale = 1.0 / np.sqrt(head_dim)
+        # The query rows' slots in attention's (B, width) layout: every real
+        # row in its own position, until the last layer cuts to the kept rows.
+        slots, width = rows, s
         for i in range(c.n_layers):
-            def proj(name_w, name_b):
-                y = spread(T.add(T.matmul(x, p[name_w]), p[name_b]))
-                y = T.reshape(y, (b, s, n_heads, head_dim))
+            kv = x
+            if keep is not None and i == c.n_layers - 1:
+                x, slots, width = T.take_rows(x, keep), kept_slots, kmax
+
+            def proj(y, name, y_slots, y_width):
+                y = spread(T.add(T.matmul(y, p[f"layer{i}.attn.w{name}"]),
+                                 p[f"layer{i}.attn.b{name}"]), y_slots, y_width)
+                y = T.reshape(y, (b, y_width, n_heads, head_dim))
                 return T.transpose(y, (0, 2, 1, 3))
 
-            q = proj(f"layer{i}.attn.wq", f"layer{i}.attn.bq")
-            k = proj(f"layer{i}.attn.wk", f"layer{i}.attn.bk")
-            v = proj(f"layer{i}.attn.wv", f"layer{i}.attn.bv")
+            q = proj(x, "q", slots, width)
+            k = proj(kv, "k", rows, s)
+            v = proj(kv, "v", rows, s)
             scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale), bias)
             probs = T.softmax_rows(scores)
             ctx = T.matmul(probs, v)
-            ctx = pack(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, c.hidden)))
+            ctx = pack(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, width, c.hidden)),
+                       slots, width)
             attn_out = T.add(T.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
             x = T.layer_norm(
                 T.add(x, attn_out),
@@ -274,15 +297,18 @@ class EncoderModel:
     def forward_batch(self, pairs, positions=None):
         """(N, H) hidden states of encoded inputs at the distinct `positions`,
         a pair of arrays (input index, token position), by default each
-        input's [CLS].  The batch is packed to its real tokens, so a position
-        that is padding, or past the longest real input, raises."""
+        input's [CLS].  The batch is packed to its real tokens and its last
+        layer cut to the named rows, so a position that is padding, past the
+        longest real input, or named twice, raises."""
         ids, segs, attn = self._stack(pairs)
         rows, width = np.flatnonzero(attn), attn.shape[1]
         b, s = (np.arange(len(pairs)), 0) if positions is None else map(np.asarray, positions)
         flat = b * width + s
-        if not (np.all((0 <= s) & (s < width)) and np.isin(flat, rows).all()):
-            raise DimensionError("forward_batch positions must name real tokens")
-        return T.take_rows(self.forward_ids(ids, segs, attn, rows), np.searchsorted(rows, flat))
+        # A repeat would lose gradient: take_rows's backward assigns, not adds.
+        if not (np.all((0 <= s) & (s < width)) and np.isin(flat, rows).all()
+                and np.unique(flat).size == flat.size):
+            raise DimensionError("forward_batch positions must name distinct real tokens")
+        return self.forward_ids(ids, segs, attn, rows, np.searchsorted(rows, flat))
 
     # ------------------------------------------------------------------
     def nsp_logits(self, hidden):

@@ -104,16 +104,37 @@ class TestForward:
         assert np.max(np.abs(cls - padded[:, 0])) < 1e-6
         assert np.max(np.abs(named - padded[b[pick], s[pick]])) < 1e-6
 
-    @pytest.mark.parametrize("where", ["pad", "past the cut", "negative", "no input"])
+    @pytest.mark.parametrize("where", ["pad", "past the cut", "negative", "no input",
+                                       "repeated"])
     def test_position_outside_the_real_tokens_rejected(self, tiny_model, tok, where):
+        """Each named position must be a real token, and named once."""
         pairs = self._varied(tok)
         width = max(int(p.attention_mask.sum()) for p in pairs)
         short = min(range(len(pairs)), key=lambda i: pairs[i].attention_mask.sum())
-        position = {"pad": (short, int(pairs[short].attention_mask.sum())),
-                    "past the cut": (0, width), "negative": (0, -1),
-                    "no input": (len(pairs), 0)}[where]
+        positions = {"pad": ([short], [int(pairs[short].attention_mask.sum())]),
+                     "past the cut": ([0], [width]), "negative": ([0], [-1]),
+                     "no input": ([len(pairs)], [0]),
+                     "repeated": ([1, 0, 1], [2, 0, 2])}[where]
         with pytest.raises(DimensionError, match="real tokens"):
-            tiny_model.forward_batch(pairs, ([position[0]], [position[1]]))
+            tiny_model.forward_batch(pairs, positions)
+
+    @pytest.mark.parametrize("named", [False, True], ids=["cls", "named"])
+    def test_last_layer_runs_on_the_kept_rows_only(self, tok, monkeypatch, named):
+        """Every layer but the last runs its FFN on every real row; the last
+        one on the rows forward_batch returns."""
+        cfg = EncoderConfig(n_layers=3, hidden=16, n_heads=2,
+                            vocab_size=len(tok.vocab), max_position=32)
+        model = EncoderModel(cfg, seed=1)
+        pairs = self._varied(tok)
+        b, s = self._real(pairs)
+        positions = (b[::2], s[::2]) if named else None
+        seen, gelu = [], T.gelu
+        monkeypatch.setattr(T, "gelu", lambda a: seen.append(a.shape[0]) or gelu(a))
+        with T.no_grad():
+            out = model.forward_batch(pairs, positions)
+        kept = len(b[::2]) if named else len(pairs)
+        assert out.shape[0] == kept
+        assert seen == [len(b), len(b), kept]
 
     def test_packed_matches_padded_at_real_rows(self, tiny_model, tok):
         """forward_ids with rows packs; without them it runs every position."""
@@ -383,3 +404,33 @@ class TestEncoderGradients:
                 fd_vec.append((up - down) / (2 * step))
                 ad_vec.append(float(flat_grad[i]))
             assert rel_err(np.array(ad_vec), np.array(fd_vec)) < 1e-3, (name, ad_vec, fd_vec)
+
+    @pytest.mark.parametrize("named", [False, True], ids=["cls", "named"])
+    def test_cut_gradients_match_the_padded_layout(self, tok, named):
+        """A loss through forward_batch's cut last layer has every parameter's
+        gradient of the same loss through the padded forward_ids."""
+        cfg = EncoderConfig(n_layers=2, hidden=16, n_heads=2,
+                            vocab_size=len(tok.vocab), max_position=32)
+        model = EncoderModel(cfg, seed=4)
+        pairs = [tok.encode_pair(a, b, 16) for a, b in
+                 [("alpha", "beta"), ("alpha beta gamma delta", "epsilon zeta"),
+                  ("iota kappa", "lambda mu eta"), ("theta", "eta")]]
+        b, s = np.nonzero(np.stack([p.attention_mask for p in pairs]))
+        pick = np.random.default_rng(2).permutation(len(b))[:9]
+        b, s = (b[pick], s[pick]) if named else (np.arange(len(pairs)), np.zeros(len(pairs), int))
+        weights = np.random.default_rng(3).standard_normal((len(b), 2)).astype(np.float32)
+
+        def grads(hidden):
+            for param in model.params.values():
+                param.grad = None
+            T.backward(T.sum_all(T.mul(model.nsp_logits(hidden()), weights)))
+            return {name: param.grad for name, param in model.params.items()}
+
+        cut = grads(lambda: model.forward_batch(pairs, (b, s) if named else None))
+        padded = grads(lambda: T.gather_positions(
+            model.forward_ids(*model._stack(pairs)), b, s))
+        for name, grad in cut.items():
+            other = padded[name]
+            assert (grad is None) == (other is None), name
+            if grad is not None:
+                assert np.max(np.abs(grad - other)) < 1e-6, name
