@@ -233,7 +233,9 @@ class SplitRun:
 
     variant: str
     seed: int
-    epoch: int  # best dev epoch; -1 when untuned or without a dev set
+    # Best dev epoch: 0 when the starting weights were kept, -1 when untuned
+    # or without a dev set.
+    epoch: int
     dev_acc: float  # best dev accuracy; nan when untuned
     test_acc: float
     split_fingerprint: str

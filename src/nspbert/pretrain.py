@@ -27,8 +27,8 @@ def vocab_from_documents(documents, max_size=8192, min_freq=1):
 
 def _encode_masked_batch(tok, pairs, max_len, mask_rate, rng):
     """Encode NSP pairs, apply MLM masking, return arrays + targets."""
-    # Full max_len width, neither cut nor packed as forward_batch is: either one
-    # moves the pre-trained weights.
+    # Full max_len width: `pretrain` packs the batch to its real tokens, so the
+    # pad columns reach attention's masked keys only.
     v = tok.vocab
     encoded = [tok.encode_pair(p.text_a, p.text_b, max_len) for p in pairs]
     ids = np.stack([e.ids for e in encoded])
@@ -47,8 +47,8 @@ def _encode_masked_batch(tok, pairs, max_len, mask_rate, rng):
     nsp_targets = np.array(
         [ISNEXT if p.label == ISNEXT_LABEL else NOTNEXT for p in pairs], dtype=np.int64
     )
-    return ids, segs, attn, np.array(batch_idx), np.array(pos_idx), \
-        np.array(mlm_targets), nsp_targets
+    return ids, segs, attn, np.array(batch_idx, dtype=np.int64), \
+        np.array(pos_idx, dtype=np.int64), np.array(mlm_targets), nsp_targets
 
 
 @dataclass
@@ -104,10 +104,14 @@ def pretrain(model, documents, vocab, steps, batch_size=PretrainConfig.batch_siz
         ids, segs, attn, bidx, pidx, mlm_t, nsp_t = _encode_masked_batch(
             tok, pairs, max_len, mask_rate, rng
         )
-        hidden = model.forward_ids(ids, segs, attn)
-        nsp_loss = T.cross_entropy(model.nsp_logits(T.take_index(hidden, 0, axis=1)), nsp_t)
+        # Packed to the real tokens, the last layer cut to [CLS] and the
+        # masked rows; the output holds them in that order.
+        (b, s), rows = ids.shape, np.flatnonzero(attn)
+        keep = np.searchsorted(rows, np.concatenate([np.arange(b) * s, bidx * s + pidx]))
+        hidden = model.forward_ids(ids, segs, attn, rows, keep)
+        nsp_loss = T.cross_entropy(model.nsp_logits(T.take_rows(hidden, np.arange(b))), nsp_t)
         if len(bidx):
-            mlm_logits = model.mlm_logits(T.gather_positions(hidden, bidx, pidx))
+            mlm_logits = model.mlm_logits(T.take_rows(hidden, np.arange(b, len(keep))))
             mlm_loss = T.cross_entropy(mlm_logits, mlm_t)
             total = T.add(mlm_loss, nsp_loss)
             mlm_val = mlm_loss.item()

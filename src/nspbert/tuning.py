@@ -9,7 +9,8 @@ untemplated text, with one 0/1 target row per sample.  One batching rule
 serves them all: shuffle the units, take `batch_size` of them per batch.  A
 coupled variant's unit is a sample, so its instances share a batch; the
 decoupled variant's unit is one instance.  The final model is the best
-dev-accuracy epoch.
+dev-accuracy entry of the starting weights and the trained epochs; an epoch
+replaces the starting weights only if it scores strictly higher on dev.
 
 Every scoring path runs through `run_head`, whose head forwards each chunk
 of inputs itself, asking `forward_batch` for the rows it reads, and every
@@ -134,8 +135,10 @@ def accuracy(preds, examples):
 class TuneResult:
     model: EncoderModel
     variant: str
-    history: list  # per-epoch dicts: epoch, train_loss, dev_acc
-    best_epoch: int
+    # Dicts of epoch, train_loss, dev_acc: with a dev set, entry 0 holds the
+    # starting weights (epoch 0, train_loss None), then trained epochs 1..E.
+    history: list
+    best_epoch: int  # index into history of the weights kept; -1 without dev
     extra: dict = field(default_factory=dict)  # fresh-head tensors, if any
 
     def encode(self, examples, task, vocab):
@@ -205,12 +208,15 @@ def _new_head(model, n_labels, seed):
 
 def _train(model, train, dev, task, vocab, cfg):
     """Adam on the model and its fresh head for cfg.epochs epochs; returns a
-    TuneResult holding the weights of the best dev-accuracy epoch.
+    TuneResult holding the weights of the best dev-accuracy history entry.
 
     Each epoch shuffles the training units and takes cfg.batch_size of them
     per batch: a unit is a sample's |Y| candidates, or its single input under
     fine-tuning, or one instance under decoupled_bce (batch_size * |Y| per
-    batch).  With no dev set the final weights are kept and best_epoch stays -1.
+    batch).  With a dev set the starting weights are scored first and kept
+    unless an epoch beats them strictly, so tuning never ends below them on
+    dev; ties go to the earliest entry.  With no dev set the final weights
+    are kept, the history holds trained epochs only, and best_epoch stays -1.
     """
     for ex in train:
         if ex.label not in task.labels:
@@ -240,9 +246,11 @@ def _train(model, train, dev, task, vocab, cfg):
     rng = np.random.default_rng(cfg.seed)
     best_acc, best = -1.0, None
     dev_inputs = result.encode(dev, task, vocab) if dev else None
-    for epoch in range(cfg.epochs):
+    # With a dev set, epoch 0 trains nothing: it scores the starting weights,
+    # and each epoch's number is its index in the history.
+    for epoch in range(0 if dev else 1, cfg.epochs + 1):
         epoch_losses = []
-        order = rng.permutation(len(targets))
+        order = rng.permutation(len(targets)) if epoch else []
         for i in range(0, len(order), batch_size):
             idx = order[i : i + batch_size]
             batch = [inputs[j * per_unit + c] for j in idx for c in range(per_unit)]
@@ -250,7 +258,8 @@ def _train(model, train, dev, task, vocab, cfg):
             epoch_losses.append(opt.minimize(loss, f"{cfg.variant} epoch {epoch}"))
         dev_acc = (accuracy(result.predict(dev, task, vocab, dev_inputs), dev) if dev
                    else float("nan"))
-        result.history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
+        result.history.append({"epoch": epoch,
+                               "train_loss": float(np.mean(epoch_losses)) if epoch else None,
                                "dev_acc": dev_acc})
         if dev and dev_acc > best_acc:
             best_acc, result.best_epoch = dev_acc, epoch

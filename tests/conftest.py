@@ -48,7 +48,7 @@ def pretrained(tmp_path_factory):
     """
     cache_dir = tmp_path_factory.getbasetemp().parent / "nspbert_pretrain_cache"
     cache_dir.mkdir(exist_ok=True)
-    tag = f"s{STANDARD_CORPUS.seed}-t{PRETRAIN_STEPS}-p{PRETRAIN_SEED}-v5"
+    tag = f"s{STANDARD_CORPUS.seed}-t{PRETRAIN_STEPS}-p{PRETRAIN_SEED}-v6"
     ckpt = cache_dir / f"micro-{tag}.nsp"
     docs = generate_corpus(STANDARD_CORPUS)
     vocab = vocab_from_documents(docs)

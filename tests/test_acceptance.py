@@ -398,7 +398,7 @@ class TestCriterion6:
         ft_accs = [run_split(pretrained_model, split, task, vocab, tuning).test_acc
                    for split in fewshot_splits]
         ft_mean = float(np.mean(ft_accs))
-        fast = sum(1 for r in rows if r["epoch"] <= 2)
+        fast = sum(1 for r in rows if r["epoch"] <= 3)
         # asserted clause: tuning never loses to zero-shot on average
         assert tuned_mean >= zs_mean - 1e-9
         report(6, f"NSP-tuning {tuned_mean:.3f} >= zero-shot {zs_mean:.3f} "

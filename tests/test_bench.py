@@ -67,6 +67,19 @@ def test_micro_workload_checks_pass(pretrained):
     assert problems == []
 
 
+def test_micro_run_seed_8_round_22_checks_pass(pretrained):
+    """The round where dev accuracy is 1.0 before tuning and after every
+    epoch, and the first trained epoch scores below zero-shot on test by more
+    than check_round's margin: tuning keeps the starting weights, which win
+    the tie on dev."""
+    problems = []
+    state = workloads.setup(workloads.WORKLOADS["micro"], pretrained["checkpoint"], 8)
+    workloads.check_outputs(state, problems)
+    _, outputs = workloads.run_round(state, 22, defaultdict(list))
+    workloads.check_round(state, outputs, problems)
+    assert problems == []
+
+
 def test_tiny_workload_checks_pass(tmp_path):
     """The bench's tiny checkpoint: the tiny preset's seed-0 initialisation
     on the standard vocab.  Its width, 384, is where the float64 reference

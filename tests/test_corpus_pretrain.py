@@ -2,6 +2,7 @@
 pre-training loop."""
 
 import dataclasses
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,8 @@ from nspbert.pretrain import (
     vocab_from_documents,
 )
 from nspbert.tokenizer import Tokenizer
+
+pretrain_module = importlib.import_module("nspbert.pretrain")
 
 SMALL = SyntheticCorpusConfig(n_documents=20, seed=1)
 
@@ -254,22 +257,55 @@ class TestPretrainLoop:
         assert run() == run()
 
     def test_forwards_at_full_max_len(self, setup, monkeypatch):
-        """Unlike forward_batch, pre-training is neither cut to its longest pair
-        nor packed to its real tokens: either one moves the pre-trained weights
-        and re-rolls criterion 4 (see ROADMAP's criterion-4 table)."""
+        """Pre-training keeps its full max_len width, not cut to its longest
+        pair as forward_batch is, and forwards packed: `rows` are the real
+        tokens, and `keep` names each pair's [CLS] in batch order, then the
+        masked rows, none of them a [CLS]."""
         docs, vocab, cfg = setup
-        widths, packed, forward = [], [], EncoderModel.forward_ids
+        widths, forward = [], EncoderModel.forward_ids
 
-        def spy(self, ids, *rest, **kwargs):
+        def spy(self, ids, segment_ids, attention_mask, rows=None, keep=None):
             widths.append(ids.shape[1])
-            packed.append(len(rest) > 2 or "rows" in kwargs)
-            return forward(self, ids, *rest, **kwargs)
+            assert np.array_equal(rows, np.flatnonzero(attention_mask))
+            kept = rows[keep]
+            assert np.array_equal(kept[:4], np.arange(4) * 40)
+            assert len(kept) > 4 and np.all(kept[4:] % 40 > 0)
+            assert np.unique(kept).size == kept.size
+            return forward(self, ids, segment_ids, attention_mask, rows, keep)
 
         monkeypatch.setattr(EncoderModel, "forward_ids", spy)
         pretrain(EncoderModel(cfg, seed=0), docs, vocab, steps=3, batch_size=4, seed=0,
                  max_len=40)
         assert widths == [40] * 3
-        assert packed == [False] * 3
+
+    def test_packed_step_matches_the_padded_layout(self, setup, monkeypatch):
+        """A micro pre-training step's loss, packed and cut, and every
+        parameter gradient are those of the padded forward_ids on the same
+        masked batch."""
+        docs, vocab, _ = setup
+        model = EncoderModel(EncoderConfig.preset("micro", len(vocab)), seed=0)
+        batches, encode = [], pretrain_module._encode_masked_batch
+        monkeypatch.setattr(pretrain_module, "_encode_masked_batch",
+                            lambda *args: batches.append(encode(*args)) or batches[-1])
+        monkeypatch.setattr(T.Adam, "step", lambda opt: None)  # keep the gradients only
+        (step,) = pretrain(model, docs, vocab, steps=1, seed=0)
+        packed = {name: p.grad for name, p in model.params.items()}
+
+        (batch,) = batches
+        ids, segs, attn, bidx, pidx, mlm_t, nsp_t = batch
+        assert len(bidx) > 0
+        for p in model.params.values():
+            p.grad = None
+        hidden = model.forward_ids(ids, segs, attn)
+        loss = T.add(T.cross_entropy(model.mlm_logits(T.gather_positions(hidden, bidx, pidx)),
+                                     mlm_t),
+                     T.cross_entropy(model.nsp_logits(T.take_index(hidden, 0, axis=1)), nsp_t))
+        T.backward(loss)
+        assert abs(step["total"] - loss.item()) < 1e-6
+        for name, p in model.params.items():
+            assert (packed[name] is None) == (p.grad is None), name
+            if p.grad is not None:
+                assert np.max(np.abs(packed[name] - p.grad)) < 1e-6, name
 
     def test_sentence_too_long_for_max_len_rejected_before_step_0(self, setup):
         """Counted in tokens: one word of 13 punctuation-split tokens does not fit 12."""

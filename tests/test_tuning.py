@@ -131,7 +131,8 @@ class TestNspTune:
         res = train(model, split.train, split.dev, task, vocab,
                     TuningConfig(epochs=1, batch_size=2, variant=variant))
         res.predict(split.test, task, vocab)
-        assert len(asked) == 3 + 2 and asked == [None] * len(asked)
+        # 3 training batches, dev before training and after the epoch, test.
+        assert len(asked) == 3 + 2 + 1 and asked == [None] * len(asked)
 
     @pytest.mark.parametrize("train", [nsp_tune, fine_tune_baseline])
     def test_unknown_gold_label(self, setup, train):
@@ -146,11 +147,60 @@ class TestNspTune:
         tcfg = TuningConfig(epochs=3, lr=1e-3, batch_size=2,
                             variant="coupled_bce", seed=0)
         res = nsp_tune(model, split.train, split.dev, task, vocab, tcfg)
-        assert len(res.history) == 3
-        assert all(np.isfinite(h["train_loss"]) for h in res.history)
-        assert 0 <= res.best_epoch < 3
-        best_acc = max(h["dev_acc"] for h in res.history)
-        assert res.history[res.best_epoch]["dev_acc"] == best_acc
+        start, *trained = res.history
+        assert start["epoch"] == 0 and start["train_loss"] is None
+        assert [h["epoch"] for h in trained] == [1, 2, 3]
+        assert all(np.isfinite(h["train_loss"]) for h in trained)
+        accs = [h["dev_acc"] for h in res.history]
+        assert 0 <= res.best_epoch < 4
+        # The first entry of the best dev accuracy: ties go to the earliest.
+        assert res.best_epoch == accs.index(max(accs))
+        assert accuracy(res.predict(split.dev, task, vocab), split.dev) == max(accs)
+
+    def test_start_weights_kept_on_a_dev_set_they_already_fit(self, setup):
+        """Dev labelled with the starting model's own predictions: no epoch
+        can beat its accuracy of 1, so its weights come back bit-exactly."""
+        vocab, cfg, task, split = setup
+        model = EncoderModel(cfg, seed=0)
+        start = {name: p.data.copy() for name, p in model.params.items()}
+        preds = tuning.predict_candidates_batch(model, vocab, split.test, task)
+        dev = [Example(ex.id, ex.text_a, label) for ex, label in zip(split.test, preds)]
+        res = nsp_tune(model, split.train, dev, task, vocab,
+                       TuningConfig(epochs=2, lr=1e-2, batch_size=2))
+        assert res.history[0]["dev_acc"] == 1.0 and res.best_epoch == 0
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, start[name]), name
+
+    @pytest.mark.parametrize("variant", ["coupled_bce", "linear_head_softmax"])
+    def test_start_weights_kept_when_every_epoch_loses(self, setup, monkeypatch, variant):
+        """Each trained epoch scores lower on dev than the weights training
+        started from (fresh head included), which come back bit-exactly."""
+        vocab, cfg, task, split = setup
+        model = EncoderModel(cfg, seed=0)
+        params, weights, scores = dict(model.params), [], iter([0.5, 0.25, 0.0])
+        new_head = tuning._new_head
+
+        def spied_head(*args):
+            head = new_head(*args)
+            params.update(head)
+            return head
+
+        def dev_accuracy(preds, examples):
+            weights.append({name: p.data.copy() for name, p in params.items()})
+            return next(scores)
+
+        monkeypatch.setattr(tuning, "_new_head", spied_head)
+        monkeypatch.setattr(tuning, "accuracy", dev_accuracy)
+        res = nsp_tune(model, split.train, split.dev, task, vocab,
+                       TuningConfig(epochs=2, lr=1e-2, batch_size=2, variant=variant))
+        assert set(params) == set(model.params) | set(res.extra)
+        assert [h["dev_acc"] for h in res.history] == [0.5, 0.25, 0.0]
+        assert res.best_epoch == 0
+        start, *trained = weights
+        assert all(any(not np.array_equal(w[name], start[name]) for name in start)
+                   for w in trained)
+        for name, p in params.items():
+            assert np.array_equal(p.data, start[name]), name
 
     def test_loss_decreases_when_overfitting(self, setup):
         vocab, cfg, task, split = setup
@@ -217,7 +267,7 @@ class TestFineTuneBaseline:
                             variant="fine_tune", seed=0)
         res = fine_tune_baseline(model, split.train, split.dev, task, vocab, tcfg)
         assert res.variant == "fine_tune"
-        assert len(res.history) == 2
+        assert [h["epoch"] for h in res.history] == [0, 1, 2]
         preds = res.predict(split.test, task, vocab)
         assert set(preds) <= set(task.labels)
 
@@ -302,12 +352,17 @@ class TestRunSplit:
 
     @pytest.mark.parametrize("variant", ["coupled_bce", "reinit_sigmoid_head", "fine_tune"])
     def test_leaves_model_unchanged(self, setup, model, variant):
+        """Without a dev set the copy keeps its trained weights, so it must
+        differ from the model, which must not change."""
         vocab, cfg, task, split = setup
+        split = KShotSplit(split.train, [], split.test, split.seed)
         before = {name: p.data.copy() for name, p in model.params.items()}
         run = run_split(model, split, task, vocab,
                         TuningConfig(epochs=1, lr=1e-2, batch_size=2, variant=variant))
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]) and p.grad is None, name
+        # No start entry without dev: the one trained epoch, numbered 1.
+        assert run.epoch == -1 and [h["epoch"] for h in run.tuned.history] == [1]
         tuned = run.tuned.model.params
         assert any(not np.array_equal(tuned[name].data, before[name]) for name in before)
 
