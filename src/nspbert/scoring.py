@@ -1,7 +1,8 @@
 """Answer mapping: candidates-contrast, samples-contrast, dev-set
 thresholds, and the PET-style multi-mask scoring baseline, whose cloze
 inputs and head predict through `predict_candidates_batch` as NSP
-candidates do.
+candidates do.  Cloze inputs that differ only in their mask targets (labels
+of the same token length) share one forward in the PET head.
 
 Candidates-contrast picks, per sample, the candidate prompt with the
 highest IsNext probability.  Samples-contrast ranks a batch of samples
@@ -199,21 +200,34 @@ def cloze_inputs(texts, task, vocab):
 
 def pet_head(model, batch):
     """Per cloze input, the product of its target ids' MLM probabilities at
-    its mask positions, taken in position order."""
-    rows = [(b, pos, tid) for b, enc in enumerate(batch)
-            for pos, tid in zip(enc.mask_positions, enc.mask_targets)]
-    batch_idx, pos_idx, target_ids = (np.array(col) for col in zip(*rows))
-    hidden = model.forward_batch(batch, (batch_idx, pos_idx))
+    its mask positions, taken in position order.
+
+    Inputs a forward reads alike (same ids, segment ids and attention mask)
+    share one: labels whose verbalizations have the same token length, and
+    repeated texts.  Each distinct input is forwarded once, with each of its
+    mask positions asked for once, and every input reads its own targets
+    from its group's rows."""
+    groups, distinct, asked, rows = {}, [], {}, []
+    for b, enc in enumerate(batch):
+        key = (enc.ids.tobytes(), enc.segment_ids.tobytes(), enc.attention_mask.tobytes())
+        g = groups.setdefault(key, len(groups))
+        if g == len(distinct):
+            distinct.append(enc)
+        rows += [(b, asked.setdefault((g, pos), len(asked)), tid)
+                 for pos, tid in zip(enc.mask_positions, enc.mask_targets)]
+    batch_idx, row_idx, target_ids = (np.array(col) for col in zip(*rows))
+    hidden = model.forward_batch(distinct, tuple(np.array(col) for col in zip(*asked)))
     probs = T.softmax_rows(model.mlm_logits(hidden)).data
     products = np.ones(len(batch))
-    np.multiply.at(products, batch_idx, probs[np.arange(len(rows)), target_ids])
+    np.multiply.at(products, batch_idx, probs[row_idx, target_ids])
     return products
 
 
 def pet_score(model, vocab, x, task):
     """Per-label probabilities: softmax over labels of the product of each
     target token's probability at its mask position.  The |Y| cloze inputs
-    share one forward pass."""
+    go through one `pet_head` call, which forwards each distinct input once:
+    labels whose verbalizations have the same token length share it."""
     products = run_head(model, cloze_inputs([x], task, vocab), pet_head, len(task.labels))
     return T.softmax_rows(T.Tensor(products.astype(np.float32))).data.astype(float)
 

@@ -355,6 +355,33 @@ class TestPretrainLoop:
         assert hidden.shape == (16, 28, 64) and np.isfinite(loss.item())
         assert held <= 2 * param_bytes, (held, param_bytes)
 
+    def test_packed_step_holds_little_more_than_the_gradients(self, setup):
+        """The same bound on the step `pretrain` runs: the batch packed to its
+        real tokens, the last layer cut to [CLS] and the masked rows, which
+        are read with `take_rows`."""
+        docs, vocab, _ = setup
+        model = EncoderModel(EncoderConfig.preset("micro", len(vocab)), seed=0)
+        param_bytes = sum(p.data.nbytes for p in model.params.values())
+        rng = np.random.default_rng(0)
+        pairs = sample_nsp_pairs(docs, 16, seed=5)
+        ids, segs, attn, bidx, pidx, mlm_t, nsp_t = _encode_masked_batch(
+            Tokenizer(vocab), pairs, 28, 0.15, rng)
+        (b, s), rows = ids.shape, np.flatnonzero(attn)
+        keep = np.searchsorted(rows, np.concatenate([np.arange(b) * s, bidx * s + pidx]))
+        tracemalloc.start()
+        try:
+            hidden = model.forward_ids(ids, segs, attn, rows, keep)
+            mlm_logits = model.mlm_logits(T.take_rows(hidden, np.arange(b, len(keep))))
+            loss = T.add(T.cross_entropy(mlm_logits, mlm_t),
+                         T.cross_entropy(model.nsp_logits(T.take_rows(hidden, np.arange(b))),
+                                         nsp_t))
+            T.backward(loss)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(bidx) and hidden.shape == (b + len(bidx), 64) and np.isfinite(loss.item())
+        assert held <= 2 * param_bytes, (held, param_bytes)
+
     def test_nsp_accuracy_bounds(self, setup):
         docs, vocab, cfg = setup
         model = EncoderModel(cfg, seed=0)

@@ -25,6 +25,7 @@ from nspbert.harness import (
 )
 from nspbert.model import EncoderConfig, EncoderModel
 from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
+from nspbert.scoring import cloze_inputs
 from nspbert.tokenizer import build_vocab
 from nspbert.tuning import TuningConfig
 
@@ -234,9 +235,18 @@ class TestEvaluate:
         calls = []
         forward = EncoderModel.forward_ids
         monkeypatch.setattr(EncoderModel, "forward_ids",
-                            lambda self, *a: calls.append(len(a[0])) or forward(self, *a))
+                            lambda self, *a: calls.append(a[0]) or forward(self, *a))
         evaluate(model, vocab, test, task, mode)
-        assert calls == [128, 2]
+        if mode == "zero_shot_nsp":
+            assert [len(ids) for ids in calls] == [128, 2]
+            return
+        # PET forwards each chunk's distinct cloze inputs: the single-token
+        # labels share one input per text, and the chunk's 6 texts repeat.
+        assert [len(ids) for ids in calls] == [6, 1]
+        for ids, chunk in zip(calls, (test[:64], test[64:])):
+            cloze = cloze_inputs([ex.text_a for ex in chunk], task, vocab)
+            assert {tuple(row) for row in ids} == \
+                {tuple(enc.ids[: ids.shape[1]]) for enc in cloze}
 
     def test_score_pairs_attaches_gold(self, tiny_model, pair_task):
         model, vocab = tiny_model

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nspbert import tensor as T
 from nspbert.errors import ValidationError
 from nspbert.harness import Example, evaluate, make_synthetic_task
 from nspbert.model import EncoderConfig, EncoderModel
@@ -361,6 +362,68 @@ class TestHeadRows:
         score_candidates(model, vocab, "good game tonight", task)
         assert len(asked) == 2
         assert all(positions is None for _, positions in asked)  # the default: [CLS]
+
+
+class TestPetSharedForwards:
+    """pet_head forwards each distinct cloze input once, and every input
+    still reads its own targets from its group's rows."""
+
+    TEXTS = ["good game tonight", "bad story here", "this is news"]
+    SAME_LENGTH = {"sports": "sports", "politics": "politics", "news": "news"}
+    MIXED = {"sports": "good game", "politics": "bad", "news": "news"}
+
+    @staticmethod
+    def _task(task, phrases, position="suffix"):
+        return dataclasses.replace(task, labels=list(phrases), verbalizer=Verbalizer(phrases),
+                                   template=PromptTemplate(task.template.pattern, position))
+
+    def _forwarded(self, setup, monkeypatch, phrases, texts):
+        """The inputs of pet_head's one forward over every text's cloze inputs."""
+        model, vocab, task = setup
+        inputs = cloze_inputs(texts, self._task(task, phrases), vocab)
+        asked = TestHeadRows._spy(model, monkeypatch)
+        run_head(model, inputs, pet_head, len(inputs))
+        assert len(asked) == 1
+        return asked[0]
+
+    def test_single_token_verbalizers_share_one_input_per_text(self, small_setup,
+                                                                monkeypatch):
+        pairs, _ = self._forwarded(small_setup, monkeypatch, self.SAME_LENGTH, self.TEXTS)
+        assert len(pairs) == len(self.TEXTS)
+
+    def test_two_phrase_lengths_give_two_inputs_per_text(self, small_setup, monkeypatch):
+        pairs, _ = self._forwarded(small_setup, monkeypatch, self.MIXED, self.TEXTS)
+        assert len(pairs) == 2 * len(self.TEXTS)
+
+    def test_duplicate_texts_share_one_input(self, small_setup, monkeypatch):
+        texts = self.TEXTS + self.TEXTS[::-1]
+        pairs, _ = self._forwarded(small_setup, monkeypatch, self.SAME_LENGTH, texts)
+        assert len(pairs) == len(self.TEXTS)
+
+    def test_each_distinct_input_asks_for_its_mask_positions_once(self, small_setup,
+                                                                  monkeypatch):
+        texts = self.TEXTS + self.TEXTS[:1]
+        pairs, (b, s) = self._forwarded(small_setup, monkeypatch, self.MIXED, texts)
+        assert len({enc.ids.tobytes() for enc in pairs}) == len(pairs) == 6
+        want = [(i, p) for i, enc in enumerate(pairs) for p in enc.mask_positions]
+        assert list(zip(b.tolist(), s.tolist())) == want
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    @pytest.mark.parametrize("phrases", [SAME_LENGTH, MIXED], ids=["same", "mixed"])
+    def test_products_match_forwarding_each_input_alone(self, small_setup, position,
+                                                        phrases):
+        model, vocab, task = small_setup
+        inputs = cloze_inputs(self.TEXTS + self.TEXTS[1:], self._task(task, phrases, position),
+                              vocab)
+        got = run_head(model, inputs, pet_head, 4)
+        want = []
+        with T.no_grad():
+            for enc in inputs:
+                hidden = model.forward_batch([enc], (np.zeros(len(enc.mask_positions), int),
+                                                     np.array(enc.mask_positions)))
+                probs = T.softmax_rows(model.mlm_logits(hidden)).data
+                want.append(np.prod(probs[np.arange(len(probs)), enc.mask_targets]))
+        assert np.max(np.abs(got - np.array(want))) <= 1e-6
 
 
 class TestEmitters:
