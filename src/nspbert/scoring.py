@@ -2,7 +2,8 @@
 thresholds, and the PET-style multi-mask scoring baseline, whose cloze
 inputs and head predict through `predict_candidates_batch` as NSP
 candidates do.  Cloze inputs that differ only in their mask targets (labels
-of the same token length) share one forward in the PET head.
+of the same token length) are rendered once per text and share one forward
+in the PET head.
 
 Candidates-contrast picks, per sample, the candidate prompt with the
 highest IsNext probability.  Samples-contrast ranks a batch of samples
@@ -21,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ValidationError, check_type, read_jsonl
 from .prompting import render_pet
-from .tokenizer import Tokenizer
+from .tokenizer import EncodedPair, Tokenizer
 from .tuning import encode_candidates, isnext_head, run_head
 
 
@@ -185,16 +186,32 @@ def apply_thresholds(thresholds, q):
 
 
 def cloze_inputs(texts, task, vocab):
-    """Every text's cloze inputs, |Y| per text in label order."""
+    """Every text's cloze inputs, |Y| per text in label order.
+
+    Each verbalization is tokenized once per call, and `render_pet` runs once
+    per (text, verbalization token length).  Every later label of that length
+    gets an input that shares the rendered id, segment and mask arrays and
+    mask positions, with its own `mask_targets`.  A verbalization that
+    `render_pet` refuses is never shared, so it raises the same error in turn."""
     tok = Tokenizer(vocab)
+    targets = [tok.encode(task.verbalizer(label)) for label in task.labels]
+    spans = [len(ids) if ids and vocab.special_ids.isdisjoint(ids) else None
+             for ids in targets]
     inputs = []
     for x in texts:
-        for j, label in enumerate(task.labels):
+        rendered = {}  # span length -> the input rendered for it
+        for j, (label, ids, span) in enumerate(zip(task.labels, targets, spans)):
+            if span in rendered:
+                enc = rendered[span]
+                inputs.append(EncodedPair(enc.ids, enc.segment_ids, enc.attention_mask,
+                                          enc.mask_positions, ids))
+                continue
             try:
-                inputs.append(render_pet(x, task.template, task.verbalizer, label, tok,
-                                         task.max_len))
+                enc = render_pet(x, task.template, task.verbalizer, label, tok, task.max_len)
             except ValidationError as e:
                 raise ValidationError(f"label {j} ({label!r}): {e}") from e
+            rendered[span] = enc
+            inputs.append(enc)
     return inputs
 
 

@@ -95,7 +95,11 @@ def build_vocab(corpus, max_size=8192, min_freq=1):
 @dataclass
 class EncodedPair:
     """Token ids plus segment ids, attention mask, and a cloze input's mask
-    positions with the ids they hide."""
+    positions with the ids they hide.
+
+    Inputs may share their arrays and lists: the cloze inputs of one text
+    whose verbalizations have the same token length share all but
+    `mask_targets`.  Nothing in the package writes into them."""
 
     ids: np.ndarray
     segment_ids: np.ndarray

@@ -15,7 +15,8 @@ replaces the starting weights only if it scores strictly higher on dev.
 Every scoring path runs through `run_head`, whose head forwards each chunk
 of inputs itself, asking `forward_batch` for the rows it reads, and every
 label prediction is `predict_candidates_batch`'s argmax over an example's
-head scores.  Candidate prompts are encoded by `encode_candidates` alone.
+head scores.  Candidate prompts are encoded by `encode_candidates` alone,
+from one tokenization of the text.
 """
 
 from __future__ import annotations
@@ -62,13 +63,16 @@ class TuningConfig:
 
 
 def encode_candidates(text, task, tok):
-    """One encoded (text, prompt) pair per task label, in label order."""
-    pairs = []
+    """One encoded (text, prompt) pair per task label, in label order, equal
+    to `encode_pair` of `render_single`'s sentences.  The text is tokenized
+    once, and each label's prompt once."""
     text_in_b = task.template.position == PREFIX
+    text_ids, pairs = tok.encode(text), []
     for j, label in enumerate(task.labels):
         try:
             a, b = render_single(text, task.template, task.verbalizer, label)
-            pairs.append(tok.encode_pair(a, b, task.max_len, text_in_b))
+            pieces = [tok.encode(a), text_ids] if text_in_b else [text_ids, tok.encode(b)]
+            pairs.append(tok.layout(pieces, task.max_len, text=int(text_in_b), split=1))
         except ValidationError as e:
             raise ValidationError(f"candidate {j} ({label!r}): the prompt {e}") from e
     return pairs

@@ -515,6 +515,20 @@ def test_pet_prompt_that_fills_max_len_exits_2(workdir, tmp_path, capsys):
     assert "label 0 ('topic0'): the prompt needs 22 tokens but max_len 24 fits at most 21" in err
 
 
+@pytest.mark.parametrize("later", ["zzqq", " "])
+def test_pet_reports_the_first_failing_label(workdir, tmp_path, capsys, later):
+    """Label 0's prompt leaves no room, and label 1's verbalization is out of
+    vocabulary or tokenizes to nothing: label 0 is the one reported."""
+    d, _ = workdir
+    verbalizer = {"topic0": " ".join(["t0w00"] * 22), "topic1": later}
+    task = write_json(tmp_path / "task.json", {**TASK, "verbalizer": verbalizer})
+    capsys.readouterr()
+    code = run(["--config", task, "--checkpoint", str(d / "model.nsp"), "eval-zeroshot",
+                "--mode", "zero_shot_pet", "--data", str(d / "data.jsonl")])
+    err = assert_one_line_exit_2(code, capsys)
+    assert "label 0 ('topic0'): the prompt needs 22 tokens but max_len 24 fits at most 21" in err
+
+
 def test_malformed_json_config_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"steps": 1,')

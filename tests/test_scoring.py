@@ -15,7 +15,7 @@ from nspbert import tensor as T
 from nspbert.errors import ValidationError
 from nspbert.harness import Example, evaluate, make_synthetic_task
 from nspbert.model import EncoderConfig, EncoderModel
-from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer
+from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer, render_pet
 from nspbert.scoring import (
     LabelDistribution,
     ScoredSample,
@@ -31,7 +31,7 @@ from nspbert.scoring import (
     score_candidates,
     thresholds_from_dev,
 )
-from nspbert.tokenizer import build_vocab
+from nspbert.tokenizer import SPECIAL_TOKENS, Tokenizer, Vocab, build_vocab
 from nspbert.tuning import accuracy, predict_candidates_batch, run_head
 from conftest import STANDARD_CORPUS
 
@@ -424,6 +424,114 @@ class TestPetSharedForwards:
                 probs = T.softmax_rows(model.mlm_logits(hidden)).data
                 want.append(np.prod(probs[np.arange(len(probs)), enc.mask_targets]))
         assert np.max(np.abs(got - np.array(want))) <= 1e-6
+
+
+class TestClozeInputs:
+    """`cloze_inputs` equals `render_pet` per (text, label), field by field
+    and error for error, while rendering each (text, mask-span length) once."""
+
+    VOCAB = Vocab(SPECIAL_TOKENS + ["good", "news", "sports", "fan", "play", "##ing", "##s",
+                                    "is", "a", "report", "the", "game", "bad"])
+    # WordPieces and [UNK], a text that any max_len here cuts, and a repeat.
+    TEXTS = ["good news", "the game is playing", "zzz good plays",
+             " ".join(["good news fan"] * 10), "good news"]
+    PHRASES = {"single": {"x": "sports", "y": "fan", "z": "news"},
+               "multi": {"x": "good game", "y": "bad news", "z": "playing"},
+               "mixed": {"x": "sports", "y": "good game", "z": "playing fan", "w": "news"}}
+
+    @staticmethod
+    def _task(phrases, position="suffix", max_len=12, pattern="{label} is a report"):
+        return TaskConfig("single", list(phrases), PromptTemplate(pattern, position),
+                          Verbalizer(phrases), max_len=max_len)
+
+    @classmethod
+    def _per_label(cls, texts, task):
+        """The oracle: `render_pet` for every (text, label), errors named by label."""
+        tok, out = Tokenizer(cls.VOCAB), []
+        for x in texts:
+            for j, label in enumerate(task.labels):
+                try:
+                    out.append(render_pet(x, task.template, task.verbalizer, label, tok,
+                                          task.max_len))
+                except ValidationError as e:
+                    raise ValidationError(f"label {j} ({label!r}): {e}") from e
+        return out
+
+    @classmethod
+    def _check(cls, texts, task):
+        """Every input's fields, or the error's message; the oracle's alike."""
+        def outcome(build):
+            try:
+                return [(e.ids.tolist(), e.segment_ids.tolist(), e.attention_mask.tolist(),
+                         e.mask_positions, e.mask_targets) for e in build()]
+            except ValidationError as e:
+                return str(e)
+
+        got = outcome(lambda: cloze_inputs(texts, task, cls.VOCAB))
+        assert got == outcome(lambda: cls._per_label(texts, task))
+        return got
+
+    @pytest.mark.parametrize("max_len", [12, 32])
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    @pytest.mark.parametrize("kind", list(PHRASES))
+    def test_equals_render_pet_per_label(self, kind, position, max_len):
+        got = self._check(self.TEXTS, self._task(self.PHRASES[kind], position, max_len))
+        n_labels = len(self.PHRASES[kind])
+        assert len(got) == len(self.TEXTS) * n_labels
+        long_text = got[3 * n_labels : 4 * n_labels]
+        assert all(sum(attn) == max_len for _, _, attn, _, _ in long_text)  # it was cut
+
+    @given(phrases=st.lists(st.sampled_from(["sports", "good game", "playing", "fan", "zzz",
+                                             " ", "?", "news fan good the"]),
+                            min_size=2, max_size=4, unique=True),
+           texts=st.lists(st.sampled_from(TEXTS), max_size=3),
+           pattern=st.sampled_from(["{label}", "{label} is a report", "the {label} news"]),
+           position=st.sampled_from(["prefix", "suffix"]),
+           max_len=st.integers(8, 16))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_tasks_equal_render_pet_per_label(self, phrases, texts, pattern, position,
+                                                     max_len):
+        """Refused verbalizations, prompts without room and their order
+        included."""
+        phrases = {f"l{i}": phrase for i, phrase in enumerate(phrases)}
+        self._check(texts, self._task(phrases, position, max_len, pattern))
+
+    @pytest.mark.parametrize("later", ["zzz", " "])
+    def test_an_earlier_prompt_without_room_is_reported_first(self, later):
+        """On the first text, label 0's prompt leaves no room; label 1's
+        verbalization is out of vocabulary or tokenizes to nothing."""
+        task = self._task({"x": "good game fan news good", "y": later}, max_len=10)
+        with pytest.raises(ValidationError) as e:
+            cloze_inputs(self.TEXTS, task, self.VOCAB)
+        assert str(e.value) == ("label 0 ('x'): the prompt needs 8 tokens but max_len 10 "
+                                "fits at most 7, and it is never truncated")
+        self._check(self.TEXTS, task)
+
+    @pytest.mark.parametrize("later", ["zzz", "?"])
+    def test_a_refused_verbalization_of_a_rendered_length_is_reported(self, later):
+        task = self._task({"x": "sports", "y": later})
+        with pytest.raises(ValidationError) as e:
+            cloze_inputs(self.TEXTS, task, self.VOCAB)
+        assert str(e.value) == (f"label 1 ('y'): verbalization {later!r} has a word "
+                                "outside the vocabulary")
+        assert cloze_inputs([], task, self.VOCAB) == []  # no text, nothing refused
+
+    def test_renders_once_per_text_and_span_length(self, monkeypatch):
+        calls = []
+
+        def counted(x, template, verbalizer, label, *args):
+            calls.append((x, label))
+            return render_pet(x, template, verbalizer, label, *args)
+
+        monkeypatch.setattr("nspbert.scoring.render_pet", counted)
+        # Span lengths 1, 2, 3, 1: "w" shares the input rendered for "x".
+        inputs = cloze_inputs(self.TEXTS, self._task(self.PHRASES["mixed"]), self.VOCAB)
+        assert calls == [(x, label) for x in self.TEXTS for label in "xyz"]
+        for x_input, w_input in zip(inputs[::4], inputs[3::4]):
+            for name in ("ids", "segment_ids", "attention_mask", "mask_positions"):
+                assert getattr(w_input, name) is getattr(x_input, name)
+            assert w_input.mask_targets == [self.VOCAB.index["news"]]
+            assert x_input.mask_targets == [self.VOCAB.index["sports"]]
 
 
 class TestEmitters:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspbert.errors import ValidationError
-from nspbert.prompting import PromptTemplate, TaskConfig, Verbalizer, render_pet
+from nspbert.prompting import (
+    PromptTemplate,
+    TaskConfig,
+    Verbalizer,
+    render_pet,
+    render_single,
+)
 from nspbert.tokenizer import SPECIAL_TOKENS, Tokenizer, Vocab, build_vocab
 from nspbert.tuning import encode_candidates
 
@@ -203,6 +209,99 @@ class TestEncodePair:
         base = tok.encode("good news")
         extended = tok.encode("good news" + " sports fan")
         assert extended[: len(base)] == base
+
+
+class TestEncodeCandidates:
+    """`encode_candidates` equals `encode_pair(*render_single(...))` per label,
+    field by field and error for error, from one tokenization of the text."""
+
+    TOK = Tokenizer(Vocab(SPECIAL_TOKENS + ["good", "news", "sports", "fan", "play", "##ing",
+                                            "##s", "is", "a", "report", "the", "game", "bad"]))
+    # WordPieces and [UNK], a text that any max_len here cuts, and a repeat.
+    TEXTS = ["good news", "the game is playing", "zzz good plays",
+             " ".join(["good news fan"] * 10), "good news"]
+    PHRASES = {"single": {"x": "sports", "y": "fan", "z": "news"},
+               "multi": {"x": "good game", "y": "bad news", "z": "playing"},
+               "mixed": {"x": "sports", "y": "good game", "z": "playing fan", "w": "zzz"}}
+
+    @staticmethod
+    def _task(phrases, position="suffix", max_len=12, pattern="{label} is a report"):
+        return TaskConfig("single", list(phrases), PromptTemplate(pattern, position),
+                          Verbalizer(phrases), max_len=max_len)
+
+    @classmethod
+    def _check(cls, texts, task):
+        """Every text's candidates' fields, or the first error's message; the
+        oracle's alike."""
+        def outcome(encode):
+            try:
+                return [(e.ids.tolist(), e.segment_ids.tolist(), e.attention_mask.tolist(),
+                         e.mask_positions, e.mask_targets) for x in texts for e in encode(x)]
+            except ValidationError as e:
+                return str(e)
+
+        def per_label(x):
+            out = []
+            for j, label in enumerate(task.labels):
+                try:
+                    a, b = render_single(x, task.template, task.verbalizer, label)
+                    out.append(cls.TOK.encode_pair(a, b, task.max_len,
+                                                   text_in_b=task.template.position == "prefix"))
+                except ValidationError as e:
+                    raise ValidationError(f"candidate {j} ({label!r}): the prompt {e}") from e
+            return out
+
+        got = outcome(lambda x: encode_candidates(x, task, cls.TOK))
+        assert got == outcome(per_label)
+        return got
+
+    @pytest.mark.parametrize("max_len", [12, 32])
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    @pytest.mark.parametrize("kind", list(PHRASES))
+    def test_equals_encode_pair_per_label(self, kind, position, max_len):
+        got = self._check(self.TEXTS, self._task(self.PHRASES[kind], position, max_len))
+        n_labels = len(self.PHRASES[kind])
+        assert len(got) == len(self.TEXTS) * n_labels
+        long_text = got[3 * n_labels : 4 * n_labels]
+        assert all(sum(attn) == max_len for _, _, attn, _, _ in long_text)  # it was cut
+
+    @given(phrases=st.lists(st.sampled_from(["sports", "good game", "playing", "fan", "zzz",
+                                             " ", "?", "news fan good the"]),
+                            min_size=2, max_size=4, unique=True),
+           texts=st.lists(st.sampled_from(TEXTS), max_size=3),
+           pattern=st.sampled_from(["{label}", "{label} is a report", "the {label} news"]),
+           position=st.sampled_from(["prefix", "suffix"]),
+           max_len=st.integers(8, 16))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_tasks_equal_encode_pair_per_label(self, phrases, texts, pattern, position,
+                                                      max_len):
+        """Prompts without room, and which label is reported first, included."""
+        phrases = {f"l{i}": phrase for i, phrase in enumerate(phrases)}
+        self._check(texts, self._task(phrases, position, max_len, pattern))
+
+    def test_an_earlier_prompt_without_room_is_reported_first(self):
+        task = self._task({"x": "good game fan news good", "y": "zzz"}, max_len=11)
+        with pytest.raises(ValidationError) as e:
+            encode_candidates("good news", task, self.TOK)
+        assert str(e.value) == ("candidate 0 ('x'): the prompt needs 8 tokens but max_len 11 "
+                                "fits at most 7, and it is never truncated")
+
+    @pytest.mark.parametrize("position", ["prefix", "suffix"])
+    def test_tokenizes_the_text_once(self, monkeypatch, position):
+        calls, encode = [], Tokenizer.encode
+
+        def counted(self, text):
+            calls.append(text)
+            return encode(self, text)
+
+        monkeypatch.setattr(Tokenizer, "encode", counted)
+        task = self._task(self.PHRASES["mixed"], position)
+        for text in self.TEXTS:
+            calls.clear()
+            encode_candidates(text, task, self.TOK)
+            prompts = [task.template.pattern.format(label=task.verbalizer(label))
+                       for label in task.labels]
+            assert calls == [text] + prompts
 
 
 class TestInsertMasks:

@@ -280,15 +280,17 @@ class TestFineTuneBaseline:
         assert accuracy(res.predict(split.train, task, vocab), split.train) >= 0.75
 
 
-@pytest.mark.parametrize("train,method", [(nsp_tune, "encode_pair"),
+@pytest.mark.parametrize("train,method", [(nsp_tune, "layout"),
                                           (fine_tune_baseline, "encode_single")])
 def test_dev_encoded_once_per_run(setup, monkeypatch, train, method):
+    """NSP candidates are laid out by `Tokenizer.layout` from ids that
+    `encode_candidates` tokenizes; fine-tuning inputs by `encode_single`."""
     vocab, cfg, task, split = setup
     calls, encode = [], getattr(Tokenizer, method)
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls.append(args)
-        return encode(self, *args)
+        return encode(self, *args, **kwargs)
 
     monkeypatch.setattr(Tokenizer, method, counted)
     per_example = len(task.labels) if train is nsp_tune else 1
